@@ -5,11 +5,9 @@
 //! seer run    --benchmark genome --policy seer --threads 8 [--seed N] [--txs N] [--json true]
 //! seer sweep  --benchmark vacation-high [--policies hle,rtm,scm,seer] [--max-threads 8]
 //!             [--store DIR] [--resume]                   # persistent, resumable results
-//!             [--workers HOST:PORT,...]                  # distributed execution
 //! seer tune   [--driver random|halving|climb] [--budget N] [--objective combined]
 //!             [--space F.json] [--seed N] [--jobs N] [--json true] [--out TUNE.json]
-//!             [--store DIR] [--resume] [--workers ...]   # parameter search over Seer's knobs
-//! seer serve  [--addr HOST:PORT]                         # worker daemon for --workers
+//!             [--store DIR] [--resume]                   # parameter search over Seer's knobs
 //! seer bench  [--mode smoke|full] [--out BENCH_006.json] [--repeats N] [--jobs N] [--json true]
 //! seer inspect --benchmark intruder --threads 8 [--txs N]   # Seer's learned state
 //! seer explain --benchmark genome --policy seer --pair 0,2  # decision history of one pair
@@ -67,7 +65,6 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
         "run" => commands::run_one(&args).map_err(|e| e.to_string()),
         "sweep" => commands::sweep(&args).map_err(|e| e.to_string()),
         "tune" => commands::tune(&args).map_err(|e| e.to_string()),
-        "serve" => commands::serve(&args).map_err(|e| e.to_string()),
         "bench" => commands::bench(&args).map_err(|e| e.to_string()),
         "inspect" => commands::inspect(&args).map_err(|e| e.to_string()),
         "explain" => commands::explain(&args).map_err(|e| e.to_string()),

@@ -26,10 +26,8 @@
 //!
 //! [`sim_seed`]: crate::runner::sim_seed
 
-use std::sync::Arc;
-
 use seer_runtime::RunMetrics;
-use seer_store::{ExecReport, Executor, Json, RemoteResolver, Store, SupervisorConfig, ToJson};
+use seer_store::{ExecReport, Executor, Json, Store, SupervisorConfig, ToJson};
 
 use crate::runner::{execute_cell, Cell, CellResult, HarnessConfig};
 
@@ -235,15 +233,6 @@ impl CellExecutor {
         Self { cfg, inner }
     }
 
-    /// Attaches a remote resolver (e.g. `seer-remote`'s worker pool):
-    /// planned cells that miss the memo cache and the disk store are
-    /// offered to `remote` before being simulated locally. Remote
-    /// results persist to the attached store exactly like local ones.
-    pub fn with_remote(mut self, remote: Arc<dyn RemoteResolver<CellKey, RunMetrics>>) -> Self {
-        self.inner = self.inner.with_remote(remote);
-        self
-    }
-
     /// The executor's harness configuration.
     pub fn config(&self) -> &HarnessConfig {
         &self.cfg
@@ -308,11 +297,6 @@ impl CellExecutor {
     /// Results served from the disk store instead of simulating.
     pub fn disk_hits(&self) -> u64 {
         self.inner.disk_hits()
-    }
-
-    /// Results computed by remote workers instead of locally.
-    pub fn remote_hits(&self) -> u64 {
-        self.inner.remote_hits()
     }
 }
 

@@ -11,9 +11,9 @@
 //! executor.
 
 use seer_stamp::Benchmark;
+use seer_store::{Json, ToJson};
 
 use crate::exec::{parallel_map, CellExecutor, Plan};
-use crate::json::{Json, ToJson};
 use crate::policy::PolicyKind;
 use crate::report::{Panel, PercentTable, Series};
 use crate::runner::{default_jobs, execute_cell, geometric_mean, Cell};

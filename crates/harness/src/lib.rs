@@ -37,26 +37,18 @@ pub mod report;
 pub mod runner;
 pub mod trace_export;
 
-/// The workspace's dependency-free JSON tree, re-exported from
-/// `seer-store` (its home since the result store landed) so existing
-/// `seer_harness::json::…` paths keep working.
-pub mod json {
-    pub use seer_store::json::*;
-}
-
 pub use exec::{parallel_map, CellExecutor, CellKey, Plan};
 pub use experiments::{
     convergence, core_locks_only, figure3, figure4, figure5, fine_grained, inference_accuracy,
     table3, AccuracyResult, ConvergenceResult, FineGrainedResult, THREADS_FULL, THREADS_TABLE,
 };
-pub use json::{Json, ToJson};
 pub use policy::{PolicyKind, TunedParams, UnknownPolicy};
 pub use report::{maybe_write_json, Panel, PercentTable, Series};
 pub use runner::{
     default_jobs, default_seeds, execute_cell, geometric_mean, run_cell, sim_seed, Cell,
     CellResult, HarnessConfig,
 };
-pub use seer_store::{ExecReport, FailedItem, RunFailure, Store, SupervisorConfig};
+pub use seer_store::{ExecReport, FailedItem, Json, RunFailure, Store, SupervisorConfig, ToJson};
 pub use trace_export::{
     chrome_trace, inference_json, lifecycle_json, trace_jsonl, write_chrome_trace,
     write_trace_jsonl,
@@ -65,13 +57,8 @@ pub use trace_export::{
 /// Reads the common environment configuration for the binaries
 /// (`SEER_SEEDS`, `SEER_SCALE`, `SEER_JOBS`).
 pub fn env_config() -> HarnessConfig {
-    let mut cfg = HarnessConfig::default();
-    if let Ok(scale) = std::env::var("SEER_SCALE") {
-        if let Ok(s) = scale.parse::<f64>() {
-            if s > 0.0 {
-                cfg.scale = s;
-            }
-        }
+    HarnessConfig {
+        scale: runner::default_scale(),
+        ..HarnessConfig::default()
     }
-    cfg
 }

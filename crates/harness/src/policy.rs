@@ -238,8 +238,7 @@ impl PolicyKind {
     /// every named variant, and a parameterized `seer@key=value,...`
     /// string for [`PolicyKind::SeerTuned`]. Always parses back to `self`
     /// through [`FromStr`](std::str::FromStr), which is what lets tuned
-    /// policies travel through store keys and the remote wire protocol
-    /// without any new message kinds.
+    /// policies travel through store keys.
     pub fn spec(self) -> String {
         match self {
             PolicyKind::SeerTuned(t) => t.spec(),

@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{Json, ToJson};
+use seer_store::{Json, ToJson};
 
 /// A named series of `(x, y)` points (one curve of a figure).
 #[derive(Debug, Clone)]

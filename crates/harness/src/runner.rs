@@ -42,24 +42,46 @@ impl Default for HarnessConfig {
     }
 }
 
-/// Parses a positive integer from `env_name`, warning once per process on
-/// an invalid (unparsable or zero) value instead of silently falling back.
+/// Reads `env_name` through `parse`, warning once per process on a value
+/// `parse` rejects instead of silently falling back to `default`.
+fn parsed_env<T: std::fmt::Display>(
+    env_name: &str,
+    default: T,
+    expected: &str,
+    warned: &'static Once,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    let Ok(raw) = std::env::var(env_name) else {
+        return default;
+    };
+    parse(&raw).unwrap_or_else(|| {
+        warned.call_once(|| {
+            eprintln!(
+                "warning: ignoring invalid {env_name}={raw:?} \
+                 (expected {expected}); using default {default}"
+            );
+        });
+        default
+    })
+}
+
+/// Parses a positive integer from `env_name` (see [`parsed_env`]).
 fn positive_env(env_name: &str, default: u64, warned: &'static Once) -> u64 {
-    match std::env::var(env_name) {
-        Err(_) => default,
-        Ok(raw) => match raw.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                warned.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring invalid {env_name}={raw:?} \
-                         (expected a positive integer); using default {default}"
-                    );
-                });
-                default
-            }
-        },
-    }
+    parsed_env(env_name, default, "a positive integer", warned, |raw| {
+        raw.parse::<u64>().ok().filter(|&n| n > 0)
+    })
+}
+
+/// A workload scale factor: finite and greater than zero. `inf` would
+/// saturate every benchmark's transaction count, so a run never ends.
+fn parse_scale(raw: &str) -> Option<f64> {
+    raw.parse::<f64>().ok().filter(|s| s.is_finite() && *s > 0.0)
+}
+
+/// Workload scale factor: `SEER_SCALE`, default 1.0.
+pub fn default_scale() -> f64 {
+    static WARNED: Once = Once::new();
+    parsed_env("SEER_SCALE", 1.0, "a finite positive number", &WARNED, parse_scale)
 }
 
 /// Seeds averaged per cell: `SEER_SEEDS`, default 3.
@@ -208,6 +230,14 @@ mod tests {
         assert!((geometric_mean(&[4.0]) - 4.0).abs() < 1e-12);
         assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((geometric_mean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn scale_must_be_finite_and_positive() {
+        for bad in ["inf", "-inf", "NaN", "-1", "0", "abc", ""] {
+            assert_eq!(parse_scale(bad), None, "{bad:?}");
+        }
+        assert_eq!(parse_scale("0.2"), Some(0.2));
     }
 
     #[test]

@@ -25,8 +25,7 @@ use std::sync::Once;
 
 use seer_runtime::trace::{InferenceTrace, LifecycleEvent, MemoryTraceSink};
 use seer_sim::cycles_to_trace_micros;
-
-use crate::json::Json;
+use seer_store::Json;
 
 /// One lifecycle event as a JSONL record.
 pub fn lifecycle_json(ev: &LifecycleEvent) -> Json {

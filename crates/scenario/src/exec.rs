@@ -10,10 +10,8 @@
 //! execution are bit-identical to a serial cold run — the conformance
 //! suite's scenario fixtures pin exactly that.
 
-use std::sync::Arc;
-
 use seer_harness::PolicyKind;
-use seer_store::{ExecReport, Executor, RemoteResolver, Store, SupervisorConfig};
+use seer_store::{ExecReport, Executor, Store, SupervisorConfig};
 
 use crate::library;
 use crate::request::RunRequest;
@@ -125,18 +123,6 @@ impl ScenarioExecutor {
         Self { inner }
     }
 
-    /// Attaches a remote resolver (e.g. `seer-remote`'s worker pool):
-    /// planned items that miss the memo cache and the disk store are
-    /// offered to `remote` before running locally. Remote results
-    /// persist to the attached store exactly like local ones.
-    pub fn with_remote(
-        mut self,
-        remote: Arc<dyn RemoteResolver<ScenarioKey, ScenarioOutcome>>,
-    ) -> Self {
-        self.inner = self.inner.with_remote(remote);
-        self
-    }
-
     /// Runs every not-yet-cached item of `plan`, reporting coverage.
     ///
     /// Unknown scenario names, panicking runs, and deadline overruns
@@ -189,11 +175,6 @@ impl ScenarioExecutor {
     /// Results loaded from the attached store instead of simulated.
     pub fn disk_hits(&self) -> u64 {
         self.inner.disk_hits()
-    }
-
-    /// Results computed by remote workers instead of locally.
-    pub fn remote_hits(&self) -> u64 {
-        self.inner.remote_hits()
     }
 }
 

@@ -4,7 +4,7 @@
 //! ## Determinism under fan-out
 //!
 //! Every driver is a pure function of `(space, objective, seed)`. The
-//! discipline that makes this hold at any `--jobs` or worker count:
+//! discipline that makes this hold at any `--jobs`:
 //!
 //! 1. **Propose before executing.** Each round's candidate points are
 //!    drawn from [`SimRng`] streams derived from the search seed and
@@ -12,8 +12,8 @@
 //!    out of order.
 //! 2. **Execute as one batch.** All runs a round needs go into a single
 //!    deduplicated plan; the executor may compute them in any order on
-//!    any substrate (threads, disk, remote workers) because results are
-//!    keyed, not positional.
+//!    any substrate (threads, disk) because results are keyed, not
+//!    positional.
 //! 3. **Score from the cache.** After the batch, scores are pure folds
 //!    over memoized values, and every tie-break is by proposal index.
 

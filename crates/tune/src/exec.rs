@@ -5,18 +5,12 @@
 //! tuned policy travels inside [`CellKey`]/[`ScenarioKey`] as its
 //! textual spec — so every mechanism the execution stack already has
 //! applies verbatim: memoization, the content-addressed disk store
-//! (`--store`/`--resume`), supervised local fan-out (`--jobs`), and the
-//! remote worker pool (`--workers`) with **zero new wire messages**
-//! (workers parse the spec back into a policy with `FromStr`).
+//! (`--store`/`--resume`) and supervised fan-out (`--jobs`).
 
 use std::path::Path;
-use std::sync::Arc;
 
-use seer_harness::{CellExecutor, HarnessConfig, Plan, Store};
-use seer_runtime::RunMetrics;
-use seer_harness::{CellKey, FailedItem};
-use seer_scenario::{ScenarioExecutor, ScenarioKey, ScenarioOutcome, ScenarioPlan};
-use seer_store::RemoteResolver;
+use seer_harness::{CellExecutor, CellKey, ExecReport, FailedItem, HarnessConfig, Plan, Store};
+use seer_scenario::{ScenarioExecutor, ScenarioKey, ScenarioPlan};
 
 /// Aggregated coverage counters for one evaluation batch (cells and
 /// scenarios summed), in the same vocabulary as a sweep's report.
@@ -28,9 +22,7 @@ pub struct TuneExecReport {
     pub memo_hits: u64,
     /// Served from the disk store.
     pub disk_hits: u64,
-    /// Computed by remote workers.
-    pub remote_hits: u64,
-    /// Simulated locally.
+    /// Simulated.
     pub computed: u64,
     /// Runs the supervisor gave up on (the coverage gap).
     pub failed: u64,
@@ -42,9 +34,17 @@ impl TuneExecReport {
         self.planned += other.planned;
         self.memo_hits += other.memo_hits;
         self.disk_hits += other.disk_hits;
-        self.remote_hits += other.remote_hits;
         self.computed += other.computed;
         self.failed += other.failed;
+    }
+
+    /// Folds one executor's coverage report into this one.
+    fn absorb_exec<K>(&mut self, r: &ExecReport<K>) {
+        self.planned += r.planned;
+        self.memo_hits += r.memo_hits;
+        self.disk_hits += r.disk_hits;
+        self.computed += r.computed;
+        self.failed += r.failed.len() as u64;
     }
 }
 
@@ -84,18 +84,6 @@ impl TuneExecutor {
         }
     }
 
-    /// Attaches remote resolvers (typically two clones of one
-    /// `Arc<WorkerPool>`, which implements both) to both executors.
-    pub fn with_remote(
-        mut self,
-        cells: Arc<dyn RemoteResolver<CellKey, RunMetrics>>,
-        scenarios: Arc<dyn RemoteResolver<ScenarioKey, ScenarioOutcome>>,
-    ) -> Self {
-        self.cells = self.cells.with_remote(cells);
-        self.scenarios = self.scenarios.with_remote(scenarios);
-        self
-    }
-
     /// Runs every not-yet-cached item of both plans and returns the
     /// summed coverage counters plus the individual failures.
     pub fn execute(
@@ -107,22 +95,12 @@ impl TuneExecutor {
         let mut failures = Vec::new();
         if !cells.is_empty() {
             let r = self.cells.execute(cells);
-            report.planned += r.planned;
-            report.memo_hits += r.memo_hits;
-            report.disk_hits += r.disk_hits;
-            report.remote_hits += r.remote_hits;
-            report.computed += r.computed;
-            report.failed += r.failed.len() as u64;
+            report.absorb_exec(&r);
             failures.extend(r.failed.iter().map(describe_cell_failure));
         }
         if !scenarios.is_empty() {
             let r = self.scenarios.execute(scenarios);
-            report.planned += r.planned;
-            report.memo_hits += r.memo_hits;
-            report.disk_hits += r.disk_hits;
-            report.remote_hits += r.remote_hits;
-            report.computed += r.computed;
-            report.failed += r.failed.len() as u64;
+            report.absorb_exec(&r);
             failures.extend(r.failed.iter().map(describe_scenario_failure));
         }
         (report, failures)

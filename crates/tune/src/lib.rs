@@ -5,8 +5,7 @@
 //! thresholds) to hand-picked constants. This crate closes the loop the
 //! rest of the workspace already enables: a search subsystem that
 //! *consumes* the execution stack — memoizing executor, content-
-//! addressed store, remote worker pool, scenario recovery scoring —
-//! instead of extending it.
+//! addressed store, scenario recovery scoring — instead of extending it.
 //!
 //! The moving parts:
 //!
@@ -21,7 +20,7 @@
 //!   combination;
 //! * [`exec::TuneExecutor`] — trial evaluation through the generic
 //!   executor: every run memoizes, persists to `--store`, resumes, and
-//!   fans out over `--workers` with zero new wire messages;
+//!   fans out over `--jobs`;
 //! * [`report`] — the ranked leaderboard plus a per-dimension
 //!   sensitivity table derived from trials already evaluated.
 //!

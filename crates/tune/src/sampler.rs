@@ -2,8 +2,8 @@
 //!
 //! Sampling consumes a caller-provided [`SimRng`] stream; the drivers
 //! derive one stream per proposal index, so the proposed points are a
-//! pure function of `(space, seed)` — independent of evaluation order,
-//! `--jobs`, and worker count.
+//! pure function of `(space, seed)` — independent of evaluation order
+//! and `--jobs`.
 
 use seer_sim::SimRng;
 

@@ -447,7 +447,7 @@ impl ParamSpace {
     }
 
     /// The tuned policy a point denotes — the identity used for cache
-    /// keys, wire dispatch, and the leaderboard.
+    /// keys and the leaderboard.
     pub fn policy(&self, point: &Point) -> PolicyKind {
         PolicyKind::SeerTuned(TunedParams::from_params(self.seer_params(point)))
     }

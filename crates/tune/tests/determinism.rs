@@ -1,13 +1,8 @@
 //! Determinism under fan-out: the pinned contract of the whole tune
 //! subsystem. One search — same space, driver, budget, objective, seed
-//! — is run serially, across four local executor threads, and against a
-//! two-worker remote pool (real serve loops on real TCP sockets), and
-//! every outcome field plus the rendered report JSON must agree
-//! byte-for-byte.
+//! — is run serially and across four local executor threads, and every
+//! outcome field plus the rendered report JSON must agree byte-for-byte.
 
-use std::sync::Arc;
-
-use seer_remote::{PoolConfig, WorkerPool};
 use seer_tune::{
     report_json, run_search, CombinedObjective, DriverKind, ParamSpace, SearchOutcome,
     TuneExecutor,
@@ -16,17 +11,6 @@ use seer_tune::{
 const DRIVER: DriverKind = DriverKind::Halving;
 const BUDGET: u64 = 4;
 const SEED: u64 = 0;
-
-/// Starts an in-process worker (the real serve loop on a real TCP
-/// socket) and returns its address.
-fn spawn_worker() -> String {
-    let listener = seer_remote::bind("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = listener.local_addr().expect("resolved address").to_string();
-    std::thread::spawn(move || {
-        let _ = seer_remote::serve(listener);
-    });
-    addr
-}
 
 fn search(exec: &TuneExecutor) -> (SearchOutcome, String) {
     let space = ParamSpace::default_space();
@@ -73,33 +57,11 @@ fn assert_outcomes_identical(what: &str, a: &SearchOutcome, b: &SearchOutcome) {
 }
 
 #[test]
-fn search_is_bit_identical_serial_parallel_and_remote() {
+fn search_is_bit_identical_serial_and_parallel() {
     let (serial, serial_json) = search(&TuneExecutor::new(1));
     assert!(serial.best.is_some(), "the pinned search must score");
 
     let (parallel, parallel_json) = search(&TuneExecutor::new(4));
     assert_outcomes_identical("jobs=4", &serial, &parallel);
     assert_eq!(serial_json, parallel_json, "jobs=4: rendered report bytes");
-
-    let addrs = [spawn_worker(), spawn_worker()];
-    let pool = Arc::new(WorkerPool::connect(
-        &addrs,
-        PoolConfig {
-            window: 4,
-            ..PoolConfig::default()
-        },
-    ));
-    assert_eq!(pool.alive_workers(), 2, "both workers must handshake");
-    let exec = TuneExecutor::new(2).with_remote(pool.clone(), pool.clone());
-    let (remote, remote_json) = search(&exec);
-    assert_outcomes_identical("remote", &serial, &remote);
-    assert_eq!(serial_json, remote_json, "remote: rendered report bytes");
-    // The pool really did the work: tuned-policy specs travelled the
-    // wire and came back as values, not local recomputation.
-    assert!(
-        remote.exec_report.remote_hits > 0,
-        "the remote pass must resolve runs remotely, got {:?}",
-        remote.exec_report
-    );
-    assert_eq!(remote.exec_report.computed, 0, "nothing computed locally");
 }

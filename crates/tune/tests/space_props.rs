@@ -8,7 +8,7 @@
 //! * **Bounds** — `sample`, `midpoint`, and every `neighbors` step land
 //!   strictly inside the declared ranges, degenerate (constant)
 //!   dimensions included, and every in-space point yields a policy spec
-//!   that parses back (the cache/wire identity).
+//!   that parses back (the cache identity).
 //! * **Never panic** — arbitrary dimension lists either validate or
 //!   return a `SpaceError`; malformed ranges (inverted, NaN, empty
 //!   choices, unknown knobs) are rejected, not mis-sampled.
@@ -139,7 +139,7 @@ proptest! {
                 );
             }
             // Every in-space point maps onto params and a policy spec
-            // that parses back (the cache/wire identity).
+            // that parses back (the cache identity).
             let spec = space.policy(point).spec();
             prop_assert!(
                 spec.parse::<seer_harness::PolicyKind>().is_ok(),
