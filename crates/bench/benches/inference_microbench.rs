@@ -102,8 +102,8 @@ fn gaussian_math(c: &mut Criterion) {
     group.finish();
 }
 
-/// Merge-period ablation: end-to-end speedup sensitivity to how often the
-/// statistics are merged and the scheme recomputed.
+/// Inference-period ablation: end-to-end speedup sensitivity to how often
+/// the locking scheme is recomputed (`update_period_execs`).
 fn merge_period_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge_period");
     group.sample_size(10);

@@ -88,9 +88,10 @@ pub fn list() {
     let synth = Benchmark::Synth { blocks: seer_stamp::synth::DEFAULT_BLOCKS };
     println!(
         "  {:<14} ({} txs/thread by default; many-blocks scaling probe,\n\
-         \x20                use synth@blocks=N for N atomic blocks, default {})",
+         \x20                use synth@blocks=N for N atomic blocks, 1..={}, default {})",
         "synth",
         synth.default_txs(),
+        seer_stamp::synth::MAX_BLOCKS,
         seer_stamp::synth::DEFAULT_BLOCKS
     );
     println!("\npolicies:");

@@ -63,6 +63,18 @@ pub struct SeerCounters {
     pub aborts_registered: u64,
 }
 
+/// State of the optional periodic decay (`SeerConfig::decay_every_updates`).
+/// Integer halving does not distribute over the sum, so a decayed merge is
+/// re-summed from individually halved per-thread tables; without decay
+/// nothing reads such tables, so they are not built.
+#[derive(Debug, Clone)]
+struct Decay {
+    /// Halve every counter after each `every`-th inference round.
+    every: u64,
+    /// One private statistics table per thread (Alg. 3).
+    per_thread: Vec<ThreadStats>,
+}
+
 /// The Seer scheduler (one global instance governs all threads).
 #[derive(Debug, Clone)]
 pub struct Seer {
@@ -70,8 +82,9 @@ pub struct Seer {
     threads: usize,
     blocks: usize,
     active: ActiveTxs,
-    per_thread: Vec<ThreadStats>,
     merged: MergedStats,
+    /// Per-thread tables for the decay resync; `None` when decay is off.
+    decay: Option<Decay>,
     table: LockTable,
     climber: HillClimber,
     thresholds: Thresholds,
@@ -108,14 +121,18 @@ impl Seer {
     pub fn new(cfg: SeerConfig, threads: usize, blocks: usize) -> Self {
         assert!(threads > 0 && blocks > 0);
         let thresholds = cfg.thresholds;
+        let decay = cfg.decay_every_updates.map(|every| Decay {
+            every,
+            per_thread: (0..threads).map(|_| ThreadStats::new(blocks)).collect(),
+        });
         Self {
             climber: HillClimber::with_params(thresholds, 0.1, 0.001),
             cfg,
             threads,
             blocks,
             active: ActiveTxs::new(threads),
-            per_thread: (0..threads).map(|_| ThreadStats::new(blocks)).collect(),
             merged: MergedStats::new(blocks),
+            decay,
             table: LockTable::new(blocks),
             thresholds,
             acquired_tx_locks: vec![false; threads],
@@ -178,7 +195,8 @@ impl Seer {
         self.history.iter().rev().find(|r| r.changed).map(|r| r.at)
     }
 
-    /// Merged statistics (rebuilt on every update).
+    /// Merged statistics: every sampled registration is folded in as it
+    /// happens, and a decay round (if configured) re-sums them.
     pub fn merged_stats(&self) -> &MergedStats {
         &self.merged
     }
@@ -199,8 +217,9 @@ impl Seer {
         self.table.rebuild(pairs);
     }
 
-    /// UPDATE-Seer-LOCKS (Alg. 5): merge per-thread statistics, recompute
-    /// the conflict pairs under the current thresholds, swap the table.
+    /// UPDATE-Seer-LOCKS (Alg. 5): recompute the conflict pairs from the
+    /// merged statistics under the current thresholds, swap the table, and
+    /// decay the statistics if a decay round is due.
     pub fn force_update(&mut self) {
         self.update_with_trace(None);
     }
@@ -211,14 +230,13 @@ impl Seer {
     /// emitted verdicts are the decisions, not a reconstruction.
     fn update_with_trace(&mut self, trace: Option<(&mut dyn TraceSink, Cycles)>) {
         // `self.merged` is maintained incrementally: every sampled
-        // registration is folded into it alongside the owning thread's
-        // table (`MergedStats::add_commit` / `add_abort`), so an inference
-        // round starts from current matrices without re-summing every
-        // per-thread table — and each registration marks its row dirty, so
-        // the persistent engine recomputes only changed rows and reuses
-        // its own scratch (zero steady-state allocations). The only
-        // operation the dual-write cannot track is decay, which resyncs
-        // explicitly below (dirtying every row).
+        // registration is folded into it (`MergedStats::add_commit` /
+        // `add_abort`), so an inference round starts from current matrices
+        // — and each registration marks its row dirty, so the persistent
+        // engine recomputes only changed rows and reuses its own scratch
+        // (zero steady-state allocations). The only operation the
+        // incremental merge cannot track is decay, which resyncs from the
+        // per-thread tables below (dirtying every row).
         let th = self.thresholds;
         let min_sigma = self.cfg.min_sigma;
         let pairs = match trace {
@@ -246,15 +264,15 @@ impl Seer {
         self.table.rebuild(pairs);
         self.counters.updates += 1;
         self.execs_at_last_update = self.total_execs;
-        if let Some(every) = self.cfg.decay_every_updates {
-            if self.counters.updates.is_multiple_of(every) {
-                for t in &mut self.per_thread {
+        if let Some(decay) = &mut self.decay {
+            if self.counters.updates.is_multiple_of(decay.every) {
+                for t in &mut decay.per_thread {
                     t.decay();
                 }
                 // Integer halving does not distribute over the sum, so the
                 // incremental merge cannot mirror decay; rebuild once per
                 // decay (rare) to re-anchor the merged view.
-                self.merged.merge_from(self.per_thread.iter());
+                self.merged.merge_from(decay.per_thread.iter());
             }
         }
     }
@@ -380,8 +398,10 @@ impl Scheduler for Seer {
         self.last_event_sampled = self.cfg.sampling >= 1.0 || env.rng.chance(self.cfg.sampling);
         if self.last_event_sampled {
             self.scan_concurrent(thread);
-            self.per_thread[thread].register_abort(block, self.scan_buf.iter().copied());
             self.merged.add_abort(block, self.scan_buf.iter().copied());
+            if let Some(decay) = &mut self.decay {
+                decay.per_thread[thread].register_abort(block, self.scan_buf.iter().copied());
+            }
             self.total_execs += 1;
             self.counters.aborts_registered += 1;
         }
@@ -433,8 +453,10 @@ impl Scheduler for Seer {
         self.last_event_sampled = self.cfg.sampling >= 1.0 || env.rng.chance(self.cfg.sampling);
         if self.last_event_sampled {
             self.scan_concurrent(thread);
-            self.per_thread[thread].register_commit(block, self.scan_buf.iter().copied());
             self.merged.add_commit(block, self.scan_buf.iter().copied());
+            if let Some(decay) = &mut self.decay {
+                decay.per_thread[thread].register_commit(block, self.scan_buf.iter().copied());
+            }
             self.total_execs += 1;
             self.counters.commits_registered += 1;
         }
@@ -473,8 +495,8 @@ impl Scheduler for Seer {
                 // Stats amnesia: the learned profile is gone; the lock
                 // table stays (stale) until the next inference round
                 // rebuilds it from the post-wipe evidence.
-                for t in &mut self.per_thread {
-                    *t = ThreadStats::new(self.blocks);
+                if let Some(decay) = &mut self.decay {
+                    decay.per_thread.iter_mut().for_each(ThreadStats::clear);
                 }
                 self.merged = MergedStats::new(self.blocks);
             }
@@ -550,10 +572,10 @@ mod tests {
         s.on_tx_start(1, 2, &mut e);
         s.on_tx_start(2, 3, &mut e);
         s.on_abort(0, 1, XStatus::conflict(), 4, &mut e);
-        assert_eq!(s.per_thread[0].aborts(1, 2), 1);
-        assert_eq!(s.per_thread[0].aborts(1, 3), 1);
-        assert_eq!(s.per_thread[0].aborts(1, 1), 0);
-        assert_eq!(s.per_thread[0].executions(1), 1);
+        assert_eq!(s.merged_stats().a(1, 2), 1);
+        assert_eq!(s.merged_stats().a(1, 3), 1);
+        assert_eq!(s.merged_stats().a(1, 1), 0);
+        assert_eq!(s.merged_stats().e(1), 1);
     }
 
     #[test]
@@ -698,14 +720,11 @@ mod tests {
         );
         // Fabricate strong evidence that block 0 conflicts with block 1.
         for _ in 0..60 {
-            s.per_thread[0].register_abort(0, [1].into_iter());
+            s.merged.add_abort(0, [1].into_iter());
         }
         for _ in 0..40 {
-            s.per_thread[0].register_commit(0, [].into_iter());
+            s.merged.add_commit(0, [].into_iter());
         }
-        // Fabricated directly into the per-thread table, bypassing the
-        // hooks' incremental dual-write — sync the merged view by hand.
-        s.merged.merge_from(s.per_thread.iter());
         s.total_execs = 100;
         s.force_update();
         assert_eq!(s.lock_table().row(0), &[1]);
@@ -726,13 +745,11 @@ mod tests {
             2,
         );
         for _ in 0..60 {
-            s.per_thread[0].register_abort(0, [1].into_iter());
+            s.merged.add_abort(0, [1].into_iter());
         }
         for _ in 0..40 {
-            s.per_thread[0].register_commit(0, [].into_iter());
+            s.merged.add_commit(0, [].into_iter());
         }
-        // As above: fabricated stats need an explicit merged-view sync.
-        s.merged.merge_from(s.per_thread.iter());
         s.total_execs = 100;
         let bank = LockBank::new(4, 2);
         let mut rng = SimRng::new(0);
@@ -788,7 +805,7 @@ mod tests {
         s.on_abort(1, 0, XStatus::conflict(), 4, &mut e);
         s.on_htm_commit(2, 2, &mut e);
         let mut rebuilt = MergedStats::new(4);
-        rebuilt.merge_from(s.per_thread.iter());
+        rebuilt.merge_from(s.decay.as_ref().unwrap().per_thread.iter());
         assert_eq!(rebuilt.commit, s.merged_stats().commit);
         assert_eq!(rebuilt.abort, s.merged_stats().abort);
         assert_eq!(rebuilt.executions, s.merged_stats().executions);
@@ -828,10 +845,29 @@ mod tests {
         s.on_tx_start(0, 0, &mut e);
         s.on_tx_start(1, 1, &mut e);
         s.on_abort(0, 0, XStatus::conflict(), 4, &mut e);
-        assert_eq!(s.per_thread[0].executions(0), 1);
+        assert_eq!(s.merged_stats().e(0), 1);
         s.on_fault(&SchedFault::WipeStats, &mut e);
-        assert_eq!(s.per_thread[0].executions(0), 0, "profile must be wiped");
         assert_eq!(s.merged_stats().digest(), MergedStats::new(2).digest());
+    }
+
+    #[test]
+    fn per_thread_tables_exist_only_for_decay() {
+        assert!(Seer::full(2, 2).decay.is_none());
+        let mut s = Seer::new(SeerConfig::with_decay(4), 2, 2);
+        let bank = LockBank::new(4, 2);
+        let mut rng = SimRng::new(0);
+        let mut e = env(&bank, &mut rng);
+        s.on_tx_start(0, 0, &mut e);
+        s.on_tx_start(1, 1, &mut e);
+        s.on_abort(0, 0, XStatus::conflict(), 4, &mut e);
+        let decay = s.decay.as_ref().expect("decay keeps per-thread tables");
+        assert_eq!(decay.per_thread[0].aborts(0, 1), 1);
+        assert_eq!(decay.per_thread[1].executions(0), 0, "not thread 1's");
+        s.on_fault(&SchedFault::WipeStats, &mut e);
+        let decay = s.decay.as_ref().unwrap();
+        assert_eq!(decay.per_thread.len(), 2, "wiped in place, not dropped");
+        assert_eq!(decay.per_thread[0].executions(0), 0, "profile wiped");
+        assert_eq!(decay.per_thread[0].aborts(0, 1), 0);
     }
 
     #[test]
@@ -888,6 +924,6 @@ mod tests {
         s.on_fallback_commit(0, 1, &mut e);
         assert_eq!(s.active.get(0), None);
         assert_eq!(s.counters().commits_registered, 0);
-        assert_eq!(s.per_thread[0].executions(1), 0);
+        assert_eq!(s.merged_stats().e(1), 0);
     }
 }

@@ -1,11 +1,18 @@
 //! Commit/abort statistics matrices (paper Table 2, Fig. 2 steps 3–5).
 //!
-//! Each thread owns private `commitStats` / `abortStats` matrices and an
-//! `executions` array, updated without synchronization on every commit and
-//! abort by scanning `activeTxs` (Alg. 3). Periodically the per-thread
-//! matrices are summed into merged global matrices that feed the
+//! In the paper each thread owns private `commitStats` / `abortStats`
+//! matrices and an `executions` array, updated without synchronization on
+//! every commit and abort by scanning `activeTxs` (Alg. 3), and
+//! periodically summed into merged global matrices that feed the
 //! probabilistic inference (Alg. 5). Entry `[x][y]` counts events of block
 //! `x` during which block `y` was observed running concurrently.
+//!
+//! The simulator has no synchronization to avoid, so the scheduler folds
+//! every registration straight into [`MergedStats`]. A [`ThreadStats`]
+//! table exists per thread only when periodic decay is configured: integer
+//! halving does not distribute over the sum, so a decayed merge must be
+//! re-summed from individually halved per-thread tables
+//! ([`MergedStats::merge_from`]).
 
 use seer_runtime::BlockId;
 
@@ -63,20 +70,27 @@ impl ThreadStats {
         self.executions[x]
     }
 
+    /// Zeroes every counter in place (the statistics-wipe fault), keeping
+    /// the allocation.
+    pub fn clear(&mut self) {
+        self.counters_mut().for_each(|v| *v = 0);
+    }
+
     /// Halves every counter (integer division). Applied periodically, this
     /// turns the matrices into exponentially-decayed frequency estimates,
     /// so conflict relations that stopped occurring fade out — the
     /// adaptivity the paper's self-tuning discussion targets for
     /// "time varying workloads".
     pub fn decay(&mut self) {
-        for v in self
-            .commit
+        self.counters_mut().for_each(|v| *v /= 2);
+    }
+
+    /// Every counter of the table: both matrices and the executions vector.
+    fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.commit
             .iter_mut()
             .chain(self.abort.iter_mut())
             .chain(self.executions.iter_mut())
-        {
-            *v /= 2;
-        }
     }
 }
 
@@ -145,10 +159,10 @@ impl MergedStats {
 
     /// Folds one commit registration directly into the merged matrices —
     /// the same arithmetic as [`ThreadStats::register_commit`], applied at
-    /// the merged level. Registering every event through both tables keeps
-    /// the merge incrementally up to date, so an inference round starts
-    /// from the current matrices instead of re-summing every per-thread
-    /// table (an `O(threads × blocks²)` scan per round).
+    /// the merged level. Registering every event here keeps the merge
+    /// incrementally up to date, so an inference round starts from the
+    /// current matrices instead of re-summing per-thread tables (an
+    /// `O(threads × blocks²)` scan per round).
     pub fn add_commit(&mut self, x: BlockId, concurrent: impl Iterator<Item = BlockId>) {
         self.dirty[x] = true;
         self.executions[x] += 1;

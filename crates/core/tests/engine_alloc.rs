@@ -12,7 +12,7 @@
 //!   per-row scratch and must allocate nothing;
 //! * full `Seer` scheduler — event registration (`on_tx_start` /
 //!   `on_htm_commit` / `on_abort`) plus `force_update` rounds, covering
-//!   the merged-stats dual write, the engine round, and the in-place
+//!   the merged-stats registration, the engine round, and the in-place
 //!   `LockTable::rebuild`.
 //!
 //! Everything here is deterministic (fixed streams, no hashing), so the

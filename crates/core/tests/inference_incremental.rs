@@ -7,9 +7,9 @@
 //! under any interleaving of registrations, decay/`merge_from` resyncs,
 //! stats wipes, and threshold changes. These properties drive random
 //! interleavings through the same dual-write scheme the scheduler uses
-//! (per-thread tables + incremental merged view) and compare after every
-//! single operation, so a dirty-row bookkeeping bug cannot hide behind a
-//! later full resync.
+//! when decay is configured (per-thread tables + incremental merged view)
+//! and compare after every single operation, so a dirty-row bookkeeping
+//! bug cannot hide behind a later full resync.
 
 use proptest::prelude::*;
 use seer::inference::{infer_conflict_pairs_with, Thresholds, MIN_DISCRIMINATIVE_SIGMA};

@@ -118,13 +118,14 @@ impl Benchmark {
 
     /// Parses a spec string produced by [`Benchmark::spec`] (or typed at a
     /// CLI): a fixed member's name, `synth` (default block count), or
-    /// `synth@blocks=N` with `N ≥ 1`.
+    /// `synth@blocks=N` with `1 ≤ N ≤` [`synth::MAX_BLOCKS`].
     pub fn from_spec(s: &str) -> Option<Benchmark> {
         if s == "synth" {
             return Some(Benchmark::Synth { blocks: synth::DEFAULT_BLOCKS });
         }
         if let Some(rest) = s.strip_prefix("synth@blocks=") {
-            let blocks: u16 = rest.parse().ok().filter(|&b| b >= 1)?;
+            let blocks: u16 =
+                rest.parse().ok().filter(|b| (1..=synth::MAX_BLOCKS).contains(b))?;
             return Some(Benchmark::Synth { blocks });
         }
         Benchmark::STAMP
@@ -233,6 +234,10 @@ mod tests {
             Some(Benchmark::Synth { blocks: synth::DEFAULT_BLOCKS })
         );
         assert_eq!(Benchmark::from_spec("synth@blocks=0"), None);
+        let largest = Benchmark::Synth { blocks: synth::MAX_BLOCKS };
+        assert_eq!(Benchmark::from_spec("synth@blocks=4096"), Some(largest));
+        assert_eq!(Benchmark::from_spec("synth@blocks=4097"), None);
+        assert_eq!(Benchmark::from_spec("synth@blocks=65535"), None);
         assert_eq!(Benchmark::from_spec("synth@blocks=bogus"), None);
         assert_eq!(Benchmark::from_spec("synth@lines=4"), None);
         assert_eq!(Benchmark::from_spec("nope"), None);

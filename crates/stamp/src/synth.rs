@@ -21,6 +21,12 @@ pub const DEFAULT_TXS: usize = 300;
 /// Default atomic-block count when `synth` is named without `@blocks=N`.
 pub const DEFAULT_BLOCKS: u16 = 128;
 
+/// Largest accepted atomic-block count. Seer's merged commit/abort
+/// matrices hold `2·N²` `u64` counters, so 4096 blocks already take
+/// 256 MiB; larger specs are rejected by `Benchmark::from_spec` instead of
+/// failing the allocation mid-run.
+pub const MAX_BLOCKS: u16 = 4096;
+
 /// Blocks per conflict cluster (blocks sharing one region).
 const CLUSTER: u16 = 8;
 
