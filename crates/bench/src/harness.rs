@@ -33,6 +33,10 @@ use seer_stamp::Benchmark;
 /// Current report schema version (bumped on breaking layout changes).
 pub const SCHEMA_VERSION: u64 = 1;
 
+/// How far (as a fraction) a speedup ratio may drop below its committed
+/// baseline before `seer check --baseline` fails the report.
+pub const BASELINE_TOLERANCE: f64 = 0.25;
+
 /// Harness seed for the workload matrix (everything runs at seed 0, like
 /// the conformance replay fixtures' first column).
 pub const MATRIX_SEED: u64 = 0;

@@ -1,9 +1,10 @@
 //! A small, dependency-free argument parser for the `seer` CLI.
 //!
-//! Grammar: `seer <command> [--key value]...`. Unknown keys and malformed
-//! values are reported with the offending token; `--help` anywhere prints
-//! usage. Kept deliberately simple — the CLI has four commands and a
-//! handful of typed options.
+//! Grammar: `seer <command> [NAME]... [--key value]...`. Unknown keys and
+//! malformed values are reported with the offending token; `--help`
+//! anywhere prints usage. Kept deliberately simple — a few commands, a
+//! handful of typed options, and bare names only where a command takes
+//! them (`figure NAME`, `check FILE...`).
 
 use std::collections::BTreeMap;
 
@@ -12,6 +13,8 @@ use std::collections::BTreeMap;
 pub struct Args {
     /// The command word (e.g. `run`).
     pub command: String,
+    /// Bare arguments after the command, in order.
+    pub positionals: Vec<String>,
     options: BTreeMap<String, String>,
 }
 
@@ -40,9 +43,14 @@ impl Args {
             )));
         }
         let mut options = BTreeMap::new();
+        let mut positionals = Vec::new();
         while let Some(tok) = iter.next() {
             let Some(key) = tok.strip_prefix("--") else {
-                return Err(ParseError(format!("expected --option, got {tok:?}")));
+                if tok.starts_with('-') {
+                    return Err(ParseError(format!("expected --option, got {tok:?}")));
+                }
+                positionals.push(tok);
+                continue;
             };
             // Value-free flags: presence is the whole message.
             if key == "help" || key == "resume" {
@@ -56,7 +64,11 @@ impl Args {
                 return Err(ParseError(format!("--{key} given twice")));
             }
         }
-        Ok(Self { command, options })
+        Ok(Self {
+            command,
+            positionals,
+            options,
+        })
     }
 
     /// True when `--help` was passed.
@@ -142,6 +154,14 @@ mod tests {
     fn rejects_malformed_values() {
         let a = parse(&["run", "--threads", "eight"]).unwrap();
         assert!(a.get_parsed("threads", 1usize).is_err());
+    }
+
+    #[test]
+    fn bare_arguments_are_positionals() {
+        let a = parse(&["check", "a.json", "--baseline", "b.json", "c.jsonl"]).unwrap();
+        assert_eq!(a.positionals, ["a.json", "c.jsonl"]);
+        assert_eq!(a.get("baseline"), Some("b.json"));
+        assert!(parse(&["check", "-x"]).is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The CLI commands: `list`, `run`, `sweep`, `tune`, `bench`,
-//! `inspect`, `explain`, and the `scenario` family.
+//! `inspect`, `explain`, and the `scenario` family (`figure` and `check`
+//! live in their own modules).
 
 use std::sync::Once;
 
@@ -68,6 +69,15 @@ pub fn print_usage() {
          \x20 scenario run                  [--name S | --spec F.json] [--policy P]\n\
          \x20          recovery scoring     [--seed N] [--jobs N] [--json true]\n\
          \x20                               [--trace F.jsonl] [--store DIR] [--resume]\n\
+         \x20 figure   a paper artefact    NAME: fig3, table3, fig4, fig5,\n\
+         \x20          (EXPERIMENTS.md)    ablation-core-locks, accuracy,\n\
+         \x20                              fine-grained, convergence\n\
+         \x20                              (SEER_SEEDS, SEER_SCALE, SEER_JOBS and\n\
+         \x20                              SEER_REPORT_JSON configure it)\n\
+         \x20 check    validate documents  FILE... (decision traces; scenario, bench\n\
+         \x20                              and tune reports; the kind is read from\n\
+         \x20                              each file) [--baseline BENCH.json]\n\
+         \x20                              [--against BENCH.json]\n\
          \n\
          Persistence: --store DIR attaches an on-disk result store (results load\n\
          before simulating and persist after); --resume is shorthand for\n\

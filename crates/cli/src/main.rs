@@ -14,17 +14,21 @@
 //! seer scenario list                                        # built-in disturbance scenarios
 //! seer scenario run [--name churn-storm | --spec F.json] [--policy P] [--seed N]
 //!                   [--jobs N] [--json true] [--trace F.jsonl] [--store DIR] [--resume]
+//! seer figure fig3                                          # regenerate a paper artefact
+//! seer check FILE... [--baseline BENCH.json] [--against BENCH.json]  # validate documents
 //! ```
 
 mod args;
+mod check;
 mod commands;
+mod figure;
 
 use args::Args;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let code = match run(raw) {
-        Ok(()) => 0,
+        Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!("try `seer help`");
@@ -45,18 +49,28 @@ fn fold_scenario_command(raw: &mut Vec<String>) {
     }
 }
 
-fn run(mut raw: Vec<String>) -> Result<(), String> {
+/// Runs one command; `Ok` carries the exit code (1: `check` found an
+/// invalid document), `Err` a usage or run error (exit 2).
+fn run(mut raw: Vec<String>) -> Result<i32, String> {
     if raw.is_empty() {
         commands::print_usage();
-        return Ok(());
+        return Ok(0);
     }
     fold_scenario_command(&mut raw);
     let args = Args::parse(raw).map_err(|e| e.to_string())?;
+    let takes_names = matches!(args.command.as_str(), "figure" | "check");
+    if let Some(extra) = args.positionals.first().filter(|_| !takes_names) {
+        return Err(format!("expected --option, got {extra:?}"));
+    }
     if args.wants_help() || args.command == "help" {
         commands::print_usage();
-        return Ok(());
+        return Ok(0);
     }
-    match args.command.as_str() {
+    if args.command == "check" {
+        let all_valid = check::check(&args).map_err(|e| e.to_string())?;
+        return Ok(if all_valid { 0 } else { 1 });
+    }
+    let done: Result<(), String> = match args.command.as_str() {
         "list" => {
             args.allow_only(&[]).map_err(|e| e.to_string())?;
             commands::list();
@@ -75,8 +89,10 @@ fn run(mut raw: Vec<String>) -> Result<(), String> {
         }
         "scenario-run" => commands::scenario_run(&args).map_err(|e| e.to_string()),
         "scenario" => Err("scenario needs an action: `seer scenario run` or `seer scenario list`".into()),
+        "figure" => figure::figure(&args).map_err(|e| e.to_string()),
         other => Err(format!("unknown command {other:?}")),
-    }
+    };
+    done.map(|()| 0)
 }
 
 #[cfg(test)]

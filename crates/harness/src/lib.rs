@@ -1,18 +1,18 @@
 //! # seer-harness — regenerating the paper's evaluation
 //!
 //! One function per table/figure of the Seer paper's §5 (see
-//! `DESIGN.md` §4 for the experiment index), plus the binaries that render
+//! `DESIGN.md` §4 for the experiment index). `seer figure NAME` renders
 //! them:
 //!
-//! | Binary | Paper artefact |
+//! | `seer figure` | Paper artefact |
 //! |---|---|
 //! | `fig3` | Figure 3 (a–i): speedups of HLE/RTM/SCM/Seer across STAMP |
 //! | `table3` | Table 3: commit-mode breakdown per policy |
 //! | `fig4` | Figure 4: profiling/inference overhead of Seer vs RTM |
 //! | `fig5` | Figure 5: cumulative mechanism ablation |
-//! | `ablation_core_locks` | §5.3: core-locks-only gains |
+//! | `ablation-core-locks` | §5.3: core-locks-only gains |
 //! | `accuracy` | extra: inferred conflict pairs vs simulator ground truth |
-//! | `fine_grained` | extra: the paper's future-work (block × structure) locks |
+//! | `fine-grained` | extra: the paper's future-work (block × structure) locks |
 //! | `convergence` | extra: when the inferred locking scheme stabilizes |
 //!
 //! Execution goes through one API (`DESIGN.md` §9): experiments declare
@@ -50,11 +50,11 @@ pub use runner::{
 };
 pub use seer_store::{ExecReport, FailedItem, Json, RunFailure, Store, SupervisorConfig, ToJson};
 pub use trace_export::{
-    chrome_trace, inference_json, lifecycle_json, trace_jsonl, write_chrome_trace,
-    write_trace_jsonl,
+    chrome_trace, inference_json, lifecycle_json, trace_jsonl, validate_trace_jsonl,
+    write_chrome_trace, write_trace_jsonl,
 };
 
-/// Reads the common environment configuration for the binaries
+/// Reads the common environment configuration for `seer figure`
 /// (`SEER_SEEDS`, `SEER_SCALE`, `SEER_JOBS`).
 pub fn env_config() -> HarnessConfig {
     HarnessConfig {

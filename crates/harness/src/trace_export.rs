@@ -5,7 +5,7 @@
 //! * **JSONL** ([`trace_jsonl`]) — one record per line, both streams
 //!   merged chronologically (ties: lifecycle before inference; within a
 //!   stream, emission order). The schema is documented in `DESIGN.md`
-//!   §10 and machine-checked by the `trace_check` binary.
+//!   §10 and machine-checked by [`validate_trace_jsonl`] (`seer check`).
 //! * **Chrome trace-event JSON** ([`chrome_trace`]) — loadable in
 //!   `chrome://tracing` / [Perfetto](https://ui.perfetto.dev): hardware
 //!   attempts become duration (`B`/`E`) slices per thread, everything
@@ -23,7 +23,7 @@
 
 use std::sync::Once;
 
-use seer_runtime::trace::{InferenceTrace, LifecycleEvent, MemoryTraceSink};
+use seer_runtime::trace::{AbortCause, InferenceTrace, LifecycleEvent, MemoryTraceSink, Verdict};
 use seer_sim::cycles_to_trace_micros;
 use seer_store::Json;
 
@@ -320,10 +320,170 @@ pub fn write_chrome_trace(path: &str, sink: &MemoryTraceSink) -> bool {
     write_or_warn(path, &chrome_trace(sink).to_string_pretty(), &WARNED)
 }
 
+/// Lifecycle record types and the fields each carries beyond the common
+/// `type`/`at`/`thread` triple, as [`lifecycle_json`] writes them.
+const LIFECYCLE_SCHEMAS: &[(&str, &[(&str, FieldKind)])] = &[
+    ("attempt-begin", &[("block", FieldKind::UInt), ("attempt", FieldKind::UInt)]),
+    (
+        "abort",
+        &[
+            ("block", FieldKind::UInt),
+            ("cause", FieldKind::AbortCause),
+            ("attempts_left", FieldKind::UInt),
+        ],
+    ),
+    ("lock-wait", &[("lock", FieldKind::LockLabel), ("holder", FieldKind::UIntOrNull)]),
+    ("locks-acquired", &[("locks", FieldKind::LockArray)]),
+    ("sgl-fallback", &[("block", FieldKind::UInt)]),
+    ("htm-commit", &[("block", FieldKind::UInt), ("attempts_used", FieldKind::UInt)]),
+    ("fallback-commit", &[("block", FieldKind::UInt)]),
+];
+
+#[derive(Clone, Copy)]
+enum FieldKind {
+    UInt,
+    UIntOrNull,
+    AbortCause,
+    LockLabel,
+    LockArray,
+}
+
+/// `sgl`, `aux`, `core:<i>` or `tx:<j>` — the `LockId` display labels.
+fn is_lock_label(s: &str) -> bool {
+    s == "sgl"
+        || s == "aux"
+        || s.strip_prefix("core:").is_some_and(|n| n.parse::<u64>().is_ok())
+        || s.strip_prefix("tx:").is_some_and(|n| n.parse::<u64>().is_ok())
+}
+
+fn check_field(rec: &Json, name: &str, kind: FieldKind) -> Result<(), String> {
+    let v = rec.get(name).ok_or_else(|| format!("missing field {name:?}"))?;
+    let ok = match kind {
+        FieldKind::UInt => v.as_u64().is_some(),
+        FieldKind::UIntOrNull => v.as_u64().is_some() || matches!(v, Json::Null),
+        FieldKind::AbortCause => v
+            .as_str()
+            .is_some_and(|s| AbortCause::ALL.iter().any(|c| c.label() == s)),
+        FieldKind::LockLabel => v.as_str().is_some_and(is_lock_label),
+        FieldKind::LockArray => v
+            .as_array()
+            .is_some_and(|a| a.iter().all(|l| l.as_str().is_some_and(is_lock_label))),
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("field {name:?} has invalid value"))
+    }
+}
+
+fn check_numbers(rec: &Json, names: &[&str], what: &str) -> Result<(), String> {
+    match names.iter().find(|name| rec.get(name).and_then(Json::as_f64).is_none()) {
+        Some(name) => Err(format!("{what} {name:?} is not a number")),
+        None => Ok(()),
+    }
+}
+
+fn check_inference(rec: &Json) -> Result<(), String> {
+    for name in ["at", "round", "total_execs"] {
+        check_field(rec, name, FieldKind::UInt)?;
+    }
+    let digest = rec
+        .get("stats_digest")
+        .and_then(Json::as_str)
+        .ok_or("missing field \"stats_digest\"")?;
+    if !digest.starts_with("0x") || u64::from_str_radix(&digest[2..], 16).is_err() {
+        return Err(format!("stats_digest {digest:?} is not a hex literal"));
+    }
+    check_numbers(rec, &["th1", "th2"], "field")?;
+    let rows = rec
+        .get("rows")
+        .and_then(Json::as_array)
+        .ok_or("field \"rows\" is not an array")?;
+    for row in rows {
+        check_field(row, "x", FieldKind::UInt)?;
+        check_numbers(row, &["eta", "sigma2", "cutoff"], "row field")?;
+        if row.get("discriminative").and_then(Json::as_bool).is_none() {
+            return Err("row field \"discriminative\" is not a bool".to_string());
+        }
+        let pairs = row
+            .get("pairs")
+            .and_then(Json::as_array)
+            .ok_or("row field \"pairs\" is not an array")?;
+        for pair in pairs {
+            check_field(pair, "y", FieldKind::UInt)?;
+            check_numbers(pair, &["conditional", "conjunctive"], "pair field")?;
+            let verdict = pair
+                .get("verdict")
+                .and_then(Json::as_str)
+                .ok_or("pair field \"verdict\" is not a string")?;
+            if !Verdict::ALL.iter().any(|v| v.label() == verdict) {
+                return Err(format!("unknown verdict {verdict:?}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Checks one JSONL record against the §10 schema; returns its type.
+fn check_record(rec: &Json) -> Result<&'static str, String> {
+    let ty = rec
+        .get("type")
+        .and_then(Json::as_str)
+        .ok_or("missing or non-string \"type\" field")?;
+    if ty == "inference" {
+        check_inference(rec)?;
+        return Ok("inference");
+    }
+    let (name, fields) = LIFECYCLE_SCHEMAS
+        .iter()
+        .find(|(name, _)| *name == ty)
+        .ok_or_else(|| format!("unknown record type {ty:?}"))?;
+    check_field(rec, "at", FieldKind::UInt)?;
+    check_field(rec, "thread", FieldKind::UInt)?;
+    for (field, kind) in *fields {
+        check_field(rec, field, *kind)?;
+    }
+    Ok(name)
+}
+
+/// Validates a JSONL trace (as [`trace_jsonl`] writes it) against the
+/// `DESIGN.md` §10 schema: every line is a known record type with its
+/// required fields well typed, enum fields carry the labels of
+/// [`AbortCause`] and [`Verdict`], timestamps never go backwards, and
+/// there is at least one record. Returns the record count per type in
+/// first-seen order, or the first violation prefixed with its line
+/// number.
+pub fn validate_trace_jsonl(text: &str) -> Result<Vec<(&'static str, u64)>, String> {
+    let mut counts: Vec<(&'static str, u64)> = Vec::new();
+    let mut last_at = 0u64;
+    for (lineno, line) in text.lines().enumerate() {
+        let lineno = lineno + 1;
+        let rec = Json::parse(line).map_err(|e| format!("line {lineno}: not valid JSON: {e}"))?;
+        let ty = check_record(&rec).map_err(|e| format!("line {lineno}: {e}"))?;
+        // Every record type carries a checked `at`; the exporter merges
+        // both streams chronologically.
+        let at = rec.get("at").and_then(Json::as_u64).unwrap_or(0);
+        if at < last_at {
+            return Err(format!(
+                "line {lineno}: timestamp {at} goes backwards (previous {last_at})"
+            ));
+        }
+        last_at = at;
+        match counts.iter_mut().find(|(name, _)| *name == ty) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((ty, 1)),
+        }
+    }
+    if counts.is_empty() {
+        return Err("no records".to_string());
+    }
+    Ok(counts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seer_runtime::trace::{AbortCause, PairDecision, RowTrace, Verdict};
+    use seer_runtime::trace::{PairDecision, RowTrace};
     use seer_runtime::LockId;
 
     fn sample_sink() -> MemoryTraceSink {

@@ -46,6 +46,14 @@ pub enum AbortCause {
 }
 
 impl AbortCause {
+    /// Every cause, in schema order.
+    pub const ALL: [AbortCause; 4] = [
+        AbortCause::Conflict,
+        AbortCause::Capacity,
+        AbortCause::Explicit,
+        AbortCause::Other,
+    ];
+
     /// Classifies an HTM status word the same way the metrics do.
     pub fn from_status(status: XStatus) -> Self {
         if status.is_conflict() {
@@ -218,6 +226,14 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    /// Every verdict, in schema order.
+    pub const ALL: [Verdict; 4] = [
+        Verdict::Serialize,
+        Verdict::RejectTh1,
+        Verdict::RejectTh2,
+        Verdict::RejectBoth,
+    ];
+
     /// Builds a verdict from the two threshold checks.
     pub fn from_checks(conjunctive_ok: bool, conditional_ok: bool) -> Self {
         match (conjunctive_ok, conditional_ok) {

@@ -274,6 +274,93 @@ impl RecoveryReport {
     }
 }
 
+impl RecoveryScore {
+    /// Checks this score's internal consistency against the run's
+    /// makespan; see [`RecoveryReport::validate`].
+    fn validate(&self, makespan: Cycles) -> Result<(), String> {
+        let label = &self.label;
+        if label.is_empty() {
+            return Err("score field \"label\" is empty".into());
+        }
+        if self.at >= makespan {
+            return Err(format!("score {label:?} at {} is past the makespan {makespan}", self.at));
+        }
+        let (baseline, min, depth) =
+            (self.baseline_throughput, self.min_throughput, self.regression_depth);
+        if !(baseline.is_finite() && min.is_finite() && depth.is_finite()) {
+            return Err(format!("score {label:?} has a non-finite throughput or depth"));
+        }
+        if baseline < 0.0 || min < 0.0 {
+            return Err(format!("score {label:?} has a negative throughput"));
+        }
+        if !(0.0..=1.0).contains(&depth) {
+            return Err(format!("score {label:?} regression_depth {depth} outside [0, 1]"));
+        }
+        if baseline > 0.0 {
+            let expected = (1.0 - min / baseline).max(0.0);
+            if (depth - expected).abs() > 1e-9 {
+                return Err(format!(
+                    "score {label:?} regression_depth {depth} inconsistent with \
+                     baseline {baseline} / min {min} (expected {expected})"
+                ));
+            }
+        }
+        match (self.reconverged_at, self.time_to_reconverge) {
+            (None, None) => Ok(()),
+            (Some(end), Some(t)) if end >= self.at && end - self.at == t => Ok(()),
+            (Some(end), Some(t)) => Err(format!(
+                "score {label:?}: time_to_reconverge {t} != reconverged_at {end} - at {}",
+                self.at
+            )),
+            _ => Err(format!(
+                "score {label:?}: reconverged_at and time_to_reconverge must be null together"
+            )),
+        }
+    }
+}
+
+impl RecoveryReport {
+    /// Checks the semantic rules of the `DESIGN.md` §11 schema that
+    /// decoding ([`crate::report_from_json`]) cannot: non-empty names, a
+    /// positive window, finite non-negative throughputs, every score
+    /// before the makespan with a regression depth matching its
+    /// baseline/min throughputs, a re-convergence time present exactly
+    /// when a re-convergence window was found, and `recovered` agreeing
+    /// with the scores. Returns the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.scenario.is_empty() {
+            return Err("field \"scenario\" is empty".into());
+        }
+        if self.policy.is_empty() {
+            return Err("field \"policy\" is empty".into());
+        }
+        if self.window == 0 {
+            return Err("field \"window\" must be positive".into());
+        }
+        if !self.throughput.is_finite() || self.throughput < 0.0 {
+            return Err(format!("field \"throughput\" = {} is not finite and non-negative", self.throughput));
+        }
+        if !self.steady_state_delta.is_finite() {
+            return Err("field \"steady_state_delta\" is not finite".into());
+        }
+        for score in &self.scores {
+            score.validate(self.makespan).map_err(|e| format!("{}: {e}", self.scenario))?;
+        }
+        let all_recovered = self
+            .scores
+            .iter()
+            .filter(|s| s.baseline_throughput > 0.0)
+            .all(|s| s.reconverged_at.is_some());
+        if self.recovered != all_recovered {
+            return Err(format!(
+                "{}: \"recovered\" = {} disagrees with the scores",
+                self.scenario, self.recovered
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl ToJson for RecoveryReport {
     fn to_json(&self) -> Json {
         Json::object([
@@ -389,6 +476,26 @@ mod tests {
         assert_eq!(s.reconverged_at, Some(5_000), "immediately re-converged");
         assert!(report.recovered);
         assert!(report.steady_state_delta.abs() < 1e-9);
+    }
+
+    #[test]
+    fn built_reports_validate_and_broken_invariants_do_not() {
+        let events = commits_stream(10, 1_000, 10, 3..5, 2);
+        let metrics = metrics_for(&events, 10_000);
+        let windows = WindowedMetrics::from_lifecycle(&events, 1_000, 10_000);
+        let report =
+            RecoveryReport::build(&spec_with_fault(3_000), "seer", 0, &metrics, &windows, &[]);
+        report.validate().expect("a built report is valid");
+
+        let mut half_null = report.clone();
+        half_null.scores[0].time_to_reconverge = None;
+        assert!(half_null.validate().unwrap_err().contains("null together"));
+        let mut late = report.clone();
+        late.scores[0].at = late.makespan;
+        assert!(late.validate().unwrap_err().contains("past the makespan"));
+        let mut no_window = report;
+        no_window.window = 0;
+        assert!(no_window.validate().is_err());
     }
 
     #[test]

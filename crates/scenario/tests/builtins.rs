@@ -9,6 +9,9 @@ fn every_builtin_recovers_under_seer() {
     for spec in library::all() {
         let outcome = RunRequest::scenario(&spec).policy(PolicyKind::Seer).run();
         let report = &outcome.report;
+        if let Err(e) = report.validate() {
+            panic!("{}: the report breaks its schema's rules: {e}", spec.name);
+        }
         assert!(
             !report.scores.is_empty(),
             "{}: every built-in's disturbances must fire before the run ends",

@@ -6,7 +6,8 @@
 //! streams), so a tiny tree type plus a `ToJson` trait is enough; field
 //! names match what `serde` would have produced, so downstream plotting
 //! scripts are unaffected. The parser ([`Json::parse`]) exists for the
-//! `trace_check` schema validator, which must re-read exported JSONL.
+//! `seer check` schema validators, which must re-read exported documents
+//! and JSONL, and for the store's shards.
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,7 +11,7 @@ use seer_store::{Json, ToJson};
 use crate::driver::{rank, DriverKind, SearchOutcome, Trial};
 use crate::space::{DimKind, ParamSpace, ParamValue};
 
-/// Schema version stamped into every report (checked by `tune_check`).
+/// Schema version stamped into every report (checked by `seer check`).
 pub const SCHEMA_VERSION: u64 = 1;
 /// Leaderboard length.
 pub const LEADERBOARD_TOP: usize = 10;
@@ -185,7 +185,7 @@ pub fn report_json(
     ])
 }
 
-/// Validates a report document against the schema `tune_check` gates in
+/// Validates a report document against the schema `seer check` gates in
 /// CI. Returns every violation found (empty = valid).
 pub fn validate_report(json: &Json) -> Vec<String> {
     let mut violations = Vec::new();
