@@ -99,6 +99,12 @@ impl Args {
     pub fn allow_only(&self, allowed: &[&str]) -> Result<(), ParseError> {
         for key in self.options.keys() {
             if key != "help" && !allowed.contains(&key.as_str()) {
+                if allowed.is_empty() {
+                    return Err(ParseError(format!(
+                        "unknown option --{key} ({} takes no options)",
+                        self.command
+                    )));
+                }
                 return Err(ParseError(format!(
                     "unknown option --{key} (allowed: {})",
                     allowed
@@ -148,6 +154,8 @@ mod tests {
         let a = parse(&["run", "--bogus", "1"]).unwrap();
         assert!(a.allow_only(&["threads"]).is_err());
         assert!(a.allow_only(&["bogus"]).is_ok());
+        let e = a.allow_only(&[]).unwrap_err();
+        assert_eq!(e.0, "unknown option --bogus (run takes no options)");
     }
 
     #[test]
@@ -158,9 +166,9 @@ mod tests {
 
     #[test]
     fn bare_arguments_are_positionals() {
-        let a = parse(&["check", "a.json", "--baseline", "b.json", "c.jsonl"]).unwrap();
+        let a = parse(&["check", "a.json", "--seed", "1", "c.jsonl"]).unwrap();
         assert_eq!(a.positionals, ["a.json", "c.jsonl"]);
-        assert_eq!(a.get("baseline"), Some("b.json"));
+        assert_eq!(a.get("seed"), Some("1"));
         assert!(parse(&["check", "-x"]).is_err());
     }
 

@@ -1,22 +1,16 @@
-//! `seer check FILE... [--baseline BENCH.json] [--against BENCH.json]`:
-//! validates the documents this project writes. Each file's kind is read
-//! off fields the document already carries, and each kind is checked by
-//! the library code next to its writer:
+//! `seer check FILE...`: validates the documents this project writes.
+//! Each file's kind is read off fields the document already carries, and
+//! each kind is checked by the library code next to its writer:
 //!
 //! | Kind | Recognised by | Checked by |
 //! |---|---|---|
 //! | decision trace (JSONL, `DESIGN.md` §10) | records with a `type` | `seer_harness::validate_trace_jsonl` |
 //! | recovery report(s) (§11) | `scenario`, on an object or an array's first element | `report_from_json` + `RecoveryReport::validate` |
-//! | bench report (§12) | `schema_version` + `mode` | `seer_bench::harness::validate_report` |
 //! | tune report (§15) | `schema_version` + `leaderboard` | `seer_tune::validate_report` |
 //!
-//! `--baseline` gates every bench report against a committed one (exact
-//! cell facts, speedup ratios within [`BASELINE_TOLERANCE`]); `--against`
-//! prints each bench report's trend against an older one, never gating.
 //! Every file is checked: a valid one prints `PATH: ok` (plus indented
 //! details) on stdout, an invalid one `PATH: <reason>` lines on stderr.
 
-use seer_bench::harness::{compare_reports, trend_lines, BASELINE_TOLERANCE};
 use seer_harness::{validate_trace_jsonl, Json};
 use seer_scenario::report_from_json;
 
@@ -25,16 +19,15 @@ use crate::args::{Args, ParseError};
 /// `seer check`. Returns whether every file is valid; usage errors are
 /// `Err`.
 pub fn check(args: &Args) -> Result<bool, ParseError> {
-    args.allow_only(&["baseline", "against"])?;
+    args.allow_only(&[])?;
     if args.positionals.is_empty() {
         return Err(ParseError("check needs at least one FILE".into()));
     }
-    let (baseline, against) = (args.get("baseline"), args.get("against"));
     let mut all_valid = true;
     for path in &args.positionals {
         let outcome = std::fs::read_to_string(path)
             .map_err(|e| vec![format!("cannot read: {e}")])
-            .and_then(|text| check_text(&text, baseline, against));
+            .and_then(|text| check_text(&text));
         match outcome {
             Ok(details) => {
                 println!("{path}: ok");
@@ -53,14 +46,9 @@ pub fn check(args: &Args) -> Result<bool, ParseError> {
     Ok(all_valid)
 }
 
-/// Checks one document, bench reports against the `--baseline` and
-/// `--against` reports if given: `Ok` with summary lines, or `Err` with
-/// every violation found.
-fn check_text(
-    text: &str,
-    baseline: Option<&str>,
-    against: Option<&str>,
-) -> Result<Vec<String>, Vec<String>> {
+/// Checks one document: `Ok` with summary lines, or `Err` with every
+/// violation found.
+fn check_text(text: &str) -> Result<Vec<String>, Vec<String>> {
     let one = |e: String| vec![e];
     let doc = match Json::parse(text) {
         Ok(doc) => doc,
@@ -79,9 +67,7 @@ fn check_text(
             .and_then(|items| items.first())
             .is_some_and(|r| r.get("scenario").is_some())
     };
-    if has("schema_version") && has("mode") {
-        check_bench(&doc, baseline, against)
-    } else if has("schema_version") && has("leaderboard") {
+    if has("schema_version") && has("leaderboard") {
         let violations = seer_tune::validate_report(&doc);
         if violations.is_empty() {
             Ok(vec!["tune report".into()])
@@ -94,7 +80,7 @@ fn check_text(
         check_trace(text).map_err(one)
     } else {
         Err(one(
-            "matches no document kind (trace, scenario report, bench report, tune report)".into(),
+            "matches no document kind (trace, scenario report, tune report)".into(),
         ))
     }
 }
@@ -130,42 +116,6 @@ fn check_scenario(doc: &Json) -> Result<Vec<String>, String> {
         .collect()
 }
 
-fn check_bench(
-    doc: &Json,
-    baseline: Option<&str>,
-    against: Option<&str>,
-) -> Result<Vec<String>, Vec<String>> {
-    let one = |e: String| vec![e];
-    seer_bench::harness::validate_report(doc).map_err(one)?;
-    let mut details = vec!["bench report".to_string()];
-    if let Some(path) = baseline {
-        let violations = compare_reports(doc, &load_bench(path).map_err(one)?, BASELINE_TOLERANCE);
-        if !violations.is_empty() {
-            return Err(violations
-                .iter()
-                .map(|v| format!("vs baseline {path}: {v}"))
-                .collect());
-        }
-        details.push(format!(
-            "within tolerance {BASELINE_TOLERANCE} of baseline {path}"
-        ));
-    }
-    if let Some(path) = against {
-        details.push(format!("trend vs {path}:"));
-        let lines = trend_lines(doc, &load_bench(path).map_err(one)?).map_err(one)?;
-        details.extend(lines.into_iter().map(|l| format!("  {l}")));
-    }
-    Ok(details)
-}
-
-/// Reads and validates a reference bench report.
-fn load_bench(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    seer_bench::harness::validate_report(&doc).map_err(|e| format!("{path}: {e}"))?;
-    Ok(doc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,15 +126,10 @@ mod tests {
 
     const DECISION_TRACE: &str =
         include_str!("../../conformance/tests/fixtures/decision_trace.jsonl");
-    const BENCH_006: &str = include_str!("../../../BENCH_006.json");
     const TUNE_064: &str = include_str!("../../../TUNE_064.json");
 
-    fn check(text: &str) -> Result<Vec<String>, Vec<String>> {
-        check_text(text, None, None)
-    }
-
     fn rejected(text: &str) -> String {
-        check(text)
+        check_text(text)
             .expect_err("the mutation must be rejected")
             .join("; ")
     }
@@ -202,10 +147,10 @@ mod tests {
 
     #[test]
     fn traces_validate_and_reject_backwards_time_and_unknown_verdicts() {
-        let details = check(&traced_run()).expect("a traced run is valid");
+        let details = check_text(&traced_run()).expect("a traced run is valid");
         assert!(details[0].starts_with("trace, "), "{details:?}");
         assert!(details[0].contains("htm-commit"), "{details:?}");
-        check(DECISION_TRACE).expect("the committed fixture is valid");
+        check_text(DECISION_TRACE).expect("the committed fixture is valid");
 
         let backwards: Vec<&str> = DECISION_TRACE.lines().rev().collect();
         assert!(rejected(&backwards.join("\n")).contains("goes backwards"));
@@ -254,11 +199,11 @@ mod tests {
         let report = scenario_report();
         let text = report.to_json().to_string_pretty();
         assert_eq!(
-            check(&text).unwrap(),
+            check_text(&text).unwrap(),
             ["scenario report phase-flip, 2 score(s)"]
         );
         let both = Json::Array(vec![report.to_json(), report.to_json()]).to_string_pretty();
-        assert_eq!(check(&both).unwrap().len(), 2);
+        assert_eq!(check_text(&both).unwrap().len(), 2);
 
         let mut flipped = report.clone();
         flipped.recovered = false;
@@ -278,20 +223,11 @@ mod tests {
 
     #[test]
     fn tune_reports_validate_and_reject_increasing_scores() {
-        assert_eq!(check(TUNE_064).unwrap(), ["tune report"]);
+        assert_eq!(check_text(TUNE_064).unwrap(), ["tune report"]);
         let second = "\"score\": 15.908156045447091";
         assert!(TUNE_064.contains(second));
         let increasing = TUNE_064.replacen(second, "\"score\": 99.0", 1);
         assert!(rejected(&increasing).contains("non-increasing"));
-    }
-
-    #[test]
-    fn bench_reports_validate_and_reject_other_schema_versions() {
-        assert_eq!(check(BENCH_006).unwrap(), ["bench report"]);
-        let version = "\"schema_version\": 1,";
-        assert!(BENCH_006.contains(version));
-        let v2 = BENCH_006.replacen(version, "\"schema_version\": 2,", 1);
-        assert!(rejected(&v2).contains("schema_version 2"));
     }
 
     #[test]
@@ -305,7 +241,7 @@ mod tests {
             "not json",
             "{\"mode\": \"smoke\"}",
         ] {
-            check(text).expect_err(text);
+            check_text(text).expect_err(text);
         }
         assert!(rejected("{\"hello\": 1}").contains("no document kind"));
         assert!(rejected("not json\n").contains("neither JSON nor JSONL"));

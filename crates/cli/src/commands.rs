@@ -1,6 +1,6 @@
-//! The CLI commands: `list`, `run`, `sweep`, `tune`, `bench`,
-//! `inspect`, `explain`, and the `scenario` family (`figure` and `check`
-//! live in their own modules).
+//! The CLI commands: `list`, `run`, `sweep`, `tune`, `inspect`,
+//! `explain`, and the `scenario` family (`figure` and `check` live in
+//! their own modules).
 
 use std::sync::Once;
 
@@ -59,9 +59,6 @@ pub fn print_usage() {
          \x20          (see DESIGN.md §15) [--space F.json] [--seed N] [--jobs N]\n\
          \x20                              [--json true] [--out TUNE.json]\n\
          \x20                              [--store DIR] [--resume]\n\
-         \x20 bench    perf measurement    [--mode smoke|full|inference]\n\
-         \x20          (see DESIGN.md §12) [--out BENCH_010.json] [--repeats N]\n\
-         \x20                              [--jobs N] [--json true]\n\
          \x20 inspect  Seer's learned state --benchmark B --threads N [--txs N] [--seed N]\n\
          \x20 explain  decision history     --benchmark B --policy P --pair X,Y\n\
          \x20          for one block pair   [--threads N] [--seed N] [--txs N]\n\
@@ -74,10 +71,9 @@ pub fn print_usage() {
          \x20                              fine-grained, convergence\n\
          \x20                              (SEER_SEEDS, SEER_SCALE, SEER_JOBS and\n\
          \x20                              SEER_REPORT_JSON configure it)\n\
-         \x20 check    validate documents  FILE... (decision traces; scenario, bench\n\
+         \x20 check    validate documents  FILE... (decision traces, scenario reports\n\
          \x20                              and tune reports; the kind is read from\n\
-         \x20                              each file) [--baseline BENCH.json]\n\
-         \x20                              [--against BENCH.json]\n\
+         \x20                              each file)\n\
          \n\
          Persistence: --store DIR attaches an on-disk result store (results load\n\
          before simulating and persist after); --resume is shorthand for\n\
@@ -210,45 +206,14 @@ pub fn run_one(args: &Args) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// Satellite behaviour: numeric *tuning* options (`--jobs`, `--repeats`)
-/// with an invalid value — unparsable or zero — warn once per process
-/// with the expected form and fall back to the default, instead of
-/// silently defaulting or aborting a script mid-sweep. (Options that pick
-/// *what* runs, like `--mode` or `--threads`, still hard-error: guessing
-/// there would silently measure the wrong thing.)
-fn positive_or_warn(
-    args: &Args,
-    key: &str,
-    default: usize,
-    warned: &'static Once,
-) -> usize {
-    match args.get(key) {
-        None => default,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                warned.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring invalid --{key} {raw:?} \
-                         (usage: --{key} N, a positive integer); using default {default}"
-                    );
-                });
-                default
-            }
-        },
+/// `--jobs N`, one rule for every command: a positive integer, defaulting
+/// to [`default_jobs`] (`SEER_JOBS`, which keeps its warn-and-default
+/// behaviour). Zero or a non-number is a usage error.
+fn parse_jobs(args: &Args) -> Result<usize, ParseError> {
+    match args.get_parsed("jobs", default_jobs())? {
+        0 => Err(ParseError("--jobs must be at least 1".into())),
+        n => Ok(n),
     }
-}
-
-/// `--jobs` with warn-once fallback to [`default_jobs`].
-fn jobs_or_warn(args: &Args) -> usize {
-    static WARNED: Once = Once::new();
-    positive_or_warn(args, "jobs", default_jobs(), &WARNED)
-}
-
-/// `--repeats` with warn-once fallback to the mode's default.
-fn repeats_or_warn(args: &Args, default: usize) -> usize {
-    static WARNED: Once = Once::new();
-    positive_or_warn(args, "repeats", default, &WARNED)
 }
 
 /// Scale factor `seer sweep` runs at (a full sweep touches up to 88
@@ -301,7 +266,7 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
     let cfg = HarnessConfig {
         seeds: 1,
         scale: SWEEP_SCALE,
-        jobs: jobs_or_warn(args),
+        jobs: parse_jobs(args)?,
     };
     let exec = match store_from_args(args) {
         Some(store) => CellExecutor::with_store(cfg, store),
@@ -422,7 +387,7 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
     let json: bool = args.get_parsed("json", false)?;
 
     let exec =
-        seer_tune::TuneExecutor::with_store_dir(jobs_or_warn(args), store_dir_from_args(args));
+        seer_tune::TuneExecutor::with_store_dir(parse_jobs(args)?, store_dir_from_args(args));
 
     let outcome = run_search(
         &space,
@@ -535,70 +500,6 @@ pub fn tune(args: &Args) -> Result<(), ParseError> {
             outcome.failures.len() + default_failures.len(),
         )));
     }
-    Ok(())
-}
-
-/// `seer bench`: the perf-measurement harness (DESIGN.md §12). Runs the
-/// pinned workload matrix and the event-queue microbench, writes the JSON
-/// report to `--out`, and prints a summary (or, with `--json true`, the
-/// full report).
-pub fn bench(args: &Args) -> Result<(), ParseError> {
-    use seer_bench::harness::{run_bench, BenchMode};
-
-    args.allow_only(&["mode", "out", "repeats", "jobs", "json"])?;
-    let mode_raw = args.get("mode").unwrap_or("smoke");
-    let mode = BenchMode::parse(mode_raw).ok_or_else(|| {
-        ParseError(format!(
-            "--mode must be \"smoke\", \"full\" or \"inference\", got {mode_raw:?}"
-        ))
-    })?;
-    let json: bool = args.get_parsed("json", false)?;
-    let out = args.get("out").unwrap_or("BENCH_010.json");
-    let repeats = repeats_or_warn(args, mode.default_repeats());
-    let jobs = jobs_or_warn(args);
-
-    let report = run_bench(mode, repeats, jobs);
-    report
-        .write(out)
-        .map_err(|e| ParseError(format!("cannot write {out:?}: {e}")))?;
-
-    if json {
-        println!("{}", report.to_json().to_string_pretty());
-    } else {
-        println!(
-            "inference round, full recompute vs incremental engine \
-             ({repeats} repeat(s), best kept):"
-        );
-        for i in &report.inference {
-            println!(
-                "  blocks={:<5} dirty={:<4} {:>10.0} full rounds/s  {:>12.0} incr rounds/s  speedup {:.2}x",
-                i.blocks,
-                i.dirty_rows,
-                i.full_rounds_per_sec,
-                i.incremental_rounds_per_sec,
-                i.speedup_vs_full
-            );
-        }
-        if !report.queue.is_empty() {
-            println!("\nevent queue vs reference BinaryHeap ({repeats} repeat(s), best kept):");
-            for q in &report.queue {
-                println!(
-                    "  n={:<7} {:>12.0} events/s (heap {:>12.0})  speedup {:.2}x",
-                    q.n, q.queue_events_per_sec, q.heap_events_per_sec, q.speedup_vs_heap
-                );
-            }
-        }
-        if !report.cells.is_empty() {
-            println!("\nworkload matrix ({} mode, scale {}):", mode.name(), mode.scale());
-            for c in &report.cells {
-                println!(
-                    "  {:<14} {:<6} {} thread(s)  {:>10} events  {:>12.0} events/s  {:>8.1} ms",
-                    c.benchmark, c.policy, c.threads, c.events, c.events_per_sec, c.wall_ms
-                );
-            }
-        }
-    }
-    eprintln!("bench: report written to {out}");
     Ok(())
 }
 
@@ -818,21 +719,6 @@ pub fn scenario_list() {
     );
 }
 
-/// Satellite behaviour: `seer scenario` argument errors that name the
-/// wrong scenario (typo, stale script) or hand over a malformed spec warn
-/// once per process and list what *is* known, instead of panicking — a
-/// sweep driving the CLI should keep going past one bad item.
-fn warn_scenario(problem: &str) {
-    static WARNED: Once = Once::new();
-    WARNED.call_once(|| {
-        eprintln!("warning: {problem}; skipping");
-        eprintln!(
-            "known scenarios: {}",
-            seer_scenario::library::BUILTIN_NAMES.join(", ")
-        );
-    });
-}
-
 fn print_recovery(outcome: &seer_scenario::ScenarioOutcome) {
     let r = &outcome.report;
     println!("{} under {}, seed {}:", r.scenario, r.policy, r.seed);
@@ -882,6 +768,7 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
     let policy = parse_policy(args.get("policy").unwrap_or("seer"))?;
     let seed: u64 = args.get_parsed("seed", 0)?;
     let json: bool = args.get_parsed("json", false)?;
+    let jobs = parse_jobs(args)?;
 
     let mut builtin_name: Option<String> = None;
     let spec = match (args.get("name"), args.get("spec")) {
@@ -894,25 +781,18 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
                 Some(spec)
             }
             None => {
-                warn_scenario(&format!("unknown scenario {name:?}"));
-                return Ok(());
+                return Err(ParseError(format!(
+                    "unknown scenario {name:?} (known: {})",
+                    library::BUILTIN_NAMES.join(", ")
+                )));
             }
         },
         (None, Some(path)) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    warn_scenario(&format!("cannot read scenario spec {path:?} ({e})"));
-                    return Ok(());
-                }
-            };
-            match ScenarioSpec::parse(&text) {
-                Ok(spec) => Some(spec),
-                Err(e) => {
-                    warn_scenario(&format!("malformed scenario spec {path:?}: {e}"));
-                    return Ok(());
-                }
-            }
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| ParseError(format!("cannot read --spec {path:?}: {e}")))?;
+            let spec = ScenarioSpec::parse(&text)
+                .map_err(|e| ParseError(format!("--spec {path:?}: {e}")))?;
+            Some(spec)
         }
         (None, None) => None,
     };
@@ -985,10 +865,6 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
     // executor, fanned out over --jobs.
     if args.get("trace").is_some() {
         return Err(ParseError("--trace needs a single scenario (--name or --spec)".into()));
-    }
-    let jobs: usize = args.get_parsed("jobs", default_jobs())?;
-    if jobs == 0 {
-        return Err(ParseError("--jobs must be at least 1".into()));
     }
     let exec = match store_from_args(args) {
         Some(store) => seer_scenario::ScenarioExecutor::with_store(jobs, store),
@@ -1144,50 +1020,32 @@ mod tests {
             "2",
         ]);
         sweep(&a).expect("parallel sweep should succeed");
-        // Invalid --jobs warns once and falls back to the default instead
-        // of erroring out (satellite fix; was a hard error before).
-        let a = args(&[
-            "sweep",
-            "--benchmark",
-            "hashmap-low",
-            "--policies",
-            "rtm",
-            "--max-threads",
-            "1",
-            "--jobs",
-            "0",
-        ]);
-        sweep(&a).expect("invalid --jobs should warn and default, not error");
     }
 
     #[test]
-    fn tuning_options_warn_and_default_instead_of_failing() {
-        // Missing → default; valid → parsed; invalid (zero or garbage) →
-        // warn-once + default. The Once means only the first bad value
-        // prints, but the fallback applies every time.
-        assert_eq!(jobs_or_warn(&args(&["bench"])), default_jobs());
-        assert_eq!(jobs_or_warn(&args(&["bench", "--jobs", "3"])), 3);
-        assert_eq!(jobs_or_warn(&args(&["bench", "--jobs", "0"])), default_jobs());
-        assert_eq!(jobs_or_warn(&args(&["bench", "--jobs", "lots"])), default_jobs());
-        assert_eq!(repeats_or_warn(&args(&["bench"]), 2), 2);
-        assert_eq!(repeats_or_warn(&args(&["bench", "--repeats", "5"]), 2), 5);
-        assert_eq!(repeats_or_warn(&args(&["bench", "--repeats", "-1"]), 2), 2);
-        assert_eq!(repeats_or_warn(&args(&["bench", "--repeats", "0"]), 3), 3);
-    }
-
-    #[test]
-    fn bench_command_validates_arguments() {
-        // --mode picks *what* is measured, so an invalid value is a hard
-        // error (unlike the tuning options above).
-        let a = args(&["bench", "--mode", "warp"]);
-        assert!(bench(&a).is_err());
-        let a = args(&["bench", "--bogus", "1"]);
-        assert!(bench(&a).is_err());
-        let a = args(&["bench", "--json", "maybe"]);
-        assert!(bench(&a).is_err());
-        // The hard error names all three accepted modes.
-        let err = bench(&args(&["bench", "--mode", "warp"])).unwrap_err();
-        assert!(err.0.contains("inference"), "{}", err.0);
+    fn jobs_option_is_positive_or_a_usage_error() {
+        // Missing → default; valid → parsed; zero or garbage → error, on
+        // every command that takes --jobs.
+        assert_eq!(parse_jobs(&args(&["sweep"])).unwrap(), default_jobs());
+        assert_eq!(parse_jobs(&args(&["sweep", "--jobs", "3"])).unwrap(), 3);
+        for bad in ["0", "lots", "-1"] {
+            let err = parse_jobs(&args(&["sweep", "--jobs", bad])).unwrap_err();
+            assert!(err.0.starts_with("--jobs"), "{}", err.0);
+            for command in ["sweep", "tune", "scenario-run"] {
+                let a = args(&[command, "--jobs", bad]);
+                let result = match command {
+                    "sweep" => sweep(&a),
+                    "tune" => tune(&a),
+                    _ => scenario_run(&a),
+                };
+                assert!(result.is_err(), "{command} --jobs {bad} must be an error");
+            }
+        }
+        let a = args(&["scenario-run", "--name", "phase-flip", "--jobs", "0"]);
+        assert!(
+            scenario_run(&a).is_err(),
+            "a single scenario validates --jobs too"
+        );
     }
 
     #[test]
@@ -1318,23 +1176,35 @@ mod tests {
     }
 
     #[test]
-    fn scenario_run_warns_instead_of_panicking_on_bad_input() {
-        // Unknown name: warn-once + list of known scenarios, exit clean.
+    fn scenario_run_rejects_bad_input() {
+        // Unknown name: a usage error listing the known scenarios, every
+        // time (no once-per-process latch).
         let a = args(&["scenario-run", "--name", "meteor-strike"]);
-        scenario_run(&a).expect("unknown scenario name must not panic");
-        scenario_run(&a).expect("second call hits the Once, still clean");
+        for _ in 0..2 {
+            let err = scenario_run(&a).unwrap_err();
+            assert!(
+                err.0.contains("unknown scenario \"meteor-strike\""),
+                "{}",
+                err.0
+            );
+            for name in seer_scenario::library::BUILTIN_NAMES {
+                assert!(err.0.contains(name), "{} lacks {name}", err.0);
+            }
+        }
 
-        // Malformed spec file: same treatment.
+        // Malformed spec file.
         let dir = std::env::temp_dir().join("seer-cli-scenario-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("broken.json");
         std::fs::write(&path, "{\"name\": 42").unwrap();
         let a = args(&["scenario-run", "--spec", path.to_str().unwrap()]);
-        scenario_run(&a).expect("malformed spec must not panic");
+        let err = scenario_run(&a).unwrap_err();
+        assert!(err.0.starts_with("--spec "), "{}", err.0);
 
-        // Unreadable spec path too.
+        // Unreadable spec path.
         let a = args(&["scenario-run", "--spec", "/no/such/spec.json"]);
-        scenario_run(&a).expect("missing spec file must not panic");
+        let err = scenario_run(&a).unwrap_err();
+        assert!(err.0.starts_with("cannot read --spec "), "{}", err.0);
     }
 
     #[test]

@@ -8,14 +8,13 @@
 //! seer tune   [--driver random|halving|climb] [--budget N] [--objective combined]
 //!             [--space F.json] [--seed N] [--jobs N] [--json true] [--out TUNE.json]
 //!             [--store DIR] [--resume]                   # parameter search over Seer's knobs
-//! seer bench  [--mode smoke|full] [--out BENCH_006.json] [--repeats N] [--jobs N] [--json true]
 //! seer inspect --benchmark intruder --threads 8 [--txs N]   # Seer's learned state
 //! seer explain --benchmark genome --policy seer --pair 0,2  # decision history of one pair
 //! seer scenario list                                        # built-in disturbance scenarios
 //! seer scenario run [--name churn-storm | --spec F.json] [--policy P] [--seed N]
 //!                   [--jobs N] [--json true] [--trace F.jsonl] [--store DIR] [--resume]
 //! seer figure fig3                                          # regenerate a paper artefact
-//! seer check FILE... [--baseline BENCH.json] [--against BENCH.json]  # validate documents
+//! seer check FILE...                                      # validate documents
 //! ```
 
 mod args;
@@ -79,7 +78,6 @@ fn run(mut raw: Vec<String>) -> Result<i32, String> {
         "run" => commands::run_one(&args).map_err(|e| e.to_string()),
         "sweep" => commands::sweep(&args).map_err(|e| e.to_string()),
         "tune" => commands::tune(&args).map_err(|e| e.to_string()),
-        "bench" => commands::bench(&args).map_err(|e| e.to_string()),
         "inspect" => commands::inspect(&args).map_err(|e| e.to_string()),
         "explain" => commands::explain(&args).map_err(|e| e.to_string()),
         "scenario-list" => {

@@ -1,6 +1,7 @@
 //! `seer figure` and `seer check` driven through the built binary: every
 //! figure name renders at a small scale, and `check` keeps the CLI's exit
 //! code and output conventions (0 valid, 1 invalid document, 2 usage).
+//! Usage errors elsewhere in the CLI follow the same exit-2 convention.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -95,51 +96,15 @@ fn committed_artifacts_pass_check() {
     let out = seer(&[
         "check",
         "crates/conformance/tests/fixtures/decision_trace.jsonl",
-        "BENCH_006.json",
-        "BENCH_010.json",
         "TUNE_064.json",
     ])
     .output()
     .unwrap();
     let stdout = text(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
-    for path in [
-        "decision_trace.jsonl: ok",
-        "BENCH_006.json: ok",
-        "BENCH_010.json: ok",
-        "TUNE_064.json: ok",
-    ] {
+    for path in ["decision_trace.jsonl: ok", "TUNE_064.json: ok"] {
         assert!(stdout.contains(path), "{stdout}");
     }
-}
-
-#[test]
-fn bench_gates_carry_over() {
-    let out = seer(&[
-        "check",
-        "BENCH_010.json",
-        "--baseline",
-        "BENCH_010.json",
-        "--against",
-        "BENCH_006.json",
-    ])
-    .output()
-    .unwrap();
-    let stdout = text(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
-    assert!(
-        stdout.contains("within tolerance 0.25 of baseline BENCH_010.json"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("trend vs BENCH_006.json:"), "{stdout}");
-    assert!(stdout.contains("speedup_vs_heap"), "{stdout}");
-
-    // BENCH_006.json has no inference table, so it fails BENCH_010.json's gate.
-    let out = seer(&["check", "BENCH_006.json", "--baseline", "BENCH_010.json"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(text(&out.stderr).starts_with("BENCH_006.json: vs baseline BENCH_010.json: "));
 }
 
 #[test]
@@ -171,6 +136,8 @@ fn check_usage_errors_exit_2() {
     for args in [
         &["check"][..],
         &["check", "TUNE_064.json", "--tolerance", "0.25"],
+        &["check", "TUNE_064.json", "--baseline", "TUNE_064.json"],
+        &["check", "TUNE_064.json", "--against", "TUNE_064.json"],
     ] {
         let out = seer(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -180,4 +147,35 @@ fn check_usage_errors_exit_2() {
             "{stderr}"
         );
     }
+}
+
+#[test]
+fn unknown_commands_and_bad_scenario_or_jobs_input_exit_2() {
+    let dir = scratch_dir("usage");
+    let broken = dir.join("broken.json");
+    std::fs::write(&broken, "{\"name\": 42").unwrap();
+    let broken = broken.to_str().unwrap();
+    for args in [
+        &["bench"][..],
+        &["scenario", "run", "--name", "meteor-strike"],
+        &["scenario", "run", "--spec", "/no/such/spec.json"],
+        &["scenario", "run", "--spec", broken],
+        &["scenario", "run", "--jobs", "0"],
+        &["sweep", "--jobs", "0"],
+        &["tune", "--jobs", "lots"],
+    ] {
+        let out = seer(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = text(&out.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+    let out = seer(&["scenario", "run", "--name", "meteor-strike"])
+        .output()
+        .unwrap();
+    assert!(
+        text(&out.stderr).contains("phase-flip"),
+        "known scenarios are listed"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

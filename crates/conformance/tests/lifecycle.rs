@@ -4,7 +4,7 @@
 //! the committed golden fixtures (tracing is a sink, not a flag).
 //!
 //! Together with the replay suite (which runs the same matrix untraced)
-//! this pins the acceptance criterion that all golden trace hashes pass
+//! this pins the requirement that all golden trace hashes pass
 //! unchanged with tracing enabled **and** disabled, with no re-bless.
 
 use seer_harness::{default_jobs, parallel_map, Cell, PolicyKind};

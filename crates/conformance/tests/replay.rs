@@ -1,6 +1,13 @@
-//! Deterministic-replay matrix: every (benchmark × policy) cell runs twice
-//! per seed and must produce bit-identical event schedules; seed-0 trace
-//! hashes are pinned by the committed fixture file.
+//! Deterministic-replay matrices: every cell runs twice per seed and must
+//! produce bit-identical event schedules; seed-0 results are pinned by
+//! committed fixture files.
+//!
+//! * `trace_hashes.txt` — every (STAMP benchmark × policy) cell at 4
+//!   threads, scale 0.08: the trace hash.
+//! * `thread_matrix_hashes.txt` — genome/ssca2/kmeans-high/hashmap-low ×
+//!   rtm/seer × 4/8 threads at scale 0.05: the trace hash *and* the DES
+//!   event count, covering the SMT-saturated thread count and the
+//!   hash-map probe the first matrix leaves out.
 //!
 //! To regenerate the fixtures after an *intentional* change to event
 //! ordering (new RNG stream, reordered scheduling, cost-model change):
@@ -9,8 +16,8 @@
 //! SEER_BLESS=1 cargo test -p seer-conformance --test replay
 //! ```
 //!
-//! then commit the updated `tests/fixtures/trace_hashes.txt` together with
-//! the change that shifted the schedules, explaining why in the message.
+//! then commit the updated fixture files together with the change that
+//! shifted the schedules, explaining why in the message.
 
 use seer_conformance::replay::{fixture_line, replay_cell};
 use seer_harness::{default_jobs, parallel_map, Cell, PolicyKind};
@@ -21,6 +28,11 @@ const THREADS: usize = 4;
 const FIXTURES: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/trace_hashes.txt"
+);
+const THREAD_MATRIX_SCALE: f64 = 0.05;
+const THREAD_MATRIX_FIXTURES: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/thread_matrix_hashes.txt"
 );
 
 fn matrix() -> Vec<Cell> {
@@ -49,14 +61,20 @@ fn every_cell_replays_bit_identically_and_matches_fixtures() {
         assert!(violations.is_empty(), "{cell:?}: {violations:#?}");
         fixture_line(cell, 0, metrics.trace_hash)
     });
-    let computed = lines.join("\n") + "\n";
+    assert_matches_fixtures(FIXTURES, &lines);
+}
 
+/// Compares `lines` with the committed fixture file at `path`, or rewrites
+/// the file when `SEER_BLESS` is set.
+fn assert_matches_fixtures(path: &str, lines: &[String]) {
+    let computed = lines.join("\n") + "\n";
     if std::env::var_os("SEER_BLESS").is_some() {
-        std::fs::write(FIXTURES, &computed).expect("write fixtures");
+        std::fs::write(path, &computed).expect("write fixtures");
         return;
     }
-    let golden = std::fs::read_to_string(FIXTURES)
-        .expect("missing tests/fixtures/trace_hashes.txt — run with SEER_BLESS=1 to create it");
+    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!("cannot read {path} ({e}) — run with SEER_BLESS=1 to create it")
+    });
     let mismatches: Vec<String> = golden
         .lines()
         .zip(computed.lines())
@@ -65,10 +83,52 @@ fn every_cell_replays_bit_identically_and_matches_fixtures() {
         .collect();
     assert!(
         mismatches.is_empty() && golden.lines().count() == computed.lines().count(),
-        "event schedules drifted from the committed fixtures \
+        "event schedules drifted from {path} \
          (intentional? re-bless with SEER_BLESS=1):\n{}",
         mismatches.join("\n")
     );
+}
+
+/// Four workloads from low to high contention × the null-ish baseline and
+/// the full scheduler × the SMT-free and SMT-saturated thread counts.
+fn thread_matrix() -> Vec<Cell> {
+    let benchmarks = [
+        Benchmark::Genome,
+        Benchmark::Ssca2,
+        Benchmark::KmeansHigh,
+        Benchmark::HashmapLow,
+    ];
+    benchmarks
+        .into_iter()
+        .flat_map(|benchmark| {
+            [PolicyKind::Rtm, PolicyKind::Seer]
+                .into_iter()
+                .flat_map(move |policy| {
+                    [4, 8].map(|threads| Cell {
+                        benchmark,
+                        policy,
+                        threads,
+                    })
+                })
+        })
+        .collect()
+}
+
+#[test]
+fn thread_matrix_replays_and_matches_event_counts_and_hashes() {
+    let cells = thread_matrix();
+    assert_eq!(cells.len(), 16);
+    let lines = parallel_map(&cells, default_jobs(), |&cell| {
+        let metrics = replay_cell(cell, 0, THREAD_MATRIX_SCALE);
+        let violations = metrics.check_conservation();
+        assert!(violations.is_empty(), "{cell:?}: {violations:#?}");
+        format!(
+            "{} events={}",
+            fixture_line(cell, 0, metrics.trace_hash),
+            metrics.events
+        )
+    });
+    assert_matches_fixtures(THREAD_MATRIX_FIXTURES, &lines);
 }
 
 #[test]

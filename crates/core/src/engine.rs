@@ -150,8 +150,7 @@ impl InferenceEngine {
     /// Returns spent [`RowTrace`]s' pair buffers to the recycled pool, so
     /// the next traced round allocates nothing. The in-tree sinks retain
     /// trace records as live data (nothing to recycle); consumers that
-    /// serialize-and-drop — the microbench's sparse-stream driver, say —
-    /// feed their rows back through here.
+    /// serialize-and-drop feed their rows back through here.
     pub fn recycle_rows(&mut self, rows: impl IntoIterator<Item = RowTrace>) {
         self.pool.extend(rows.into_iter().map(|r| r.pairs));
     }

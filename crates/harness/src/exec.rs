@@ -187,7 +187,7 @@ impl Plan {
     }
 }
 
-/// The parallel, memoizing executor behind every figure, table, bench and
+/// The parallel, memoizing executor behind every figure, table and
 /// sweep: the workspace's one way to turn a [`Plan`] into metrics.
 ///
 /// A thin instantiation of `seer-store`'s generic [`Executor`]: results

@@ -3,8 +3,8 @@
 //! Each function *declares* its grid as a [`Plan`], hands it to the shared
 //! [`CellExecutor`] (which deduplicates, memoizes, and fans work out across
 //! `cfg.jobs` OS threads), then assembles the figure from cached results;
-//! `seer figure NAME` renders them. Tests and the Criterion benches
-//! call the same functions at reduced scale, so every number in
+//! `seer figure NAME` renders them. Tests and `perfbench/` call the
+//! same functions at reduced scale, so every number in
 //! `EXPERIMENTS.md` is regenerable from exactly one place — and figures
 //! sharing cells (Table 3 re-reads every Figure 3 cell; Figures 4/5 share
 //! the profile-only baselines) simulate each unique cell exactly once per
@@ -16,7 +16,7 @@ use seer_store::{Json, ToJson};
 use crate::exec::{parallel_map, CellExecutor, Plan};
 use crate::policy::PolicyKind;
 use crate::report::{Panel, PercentTable, Series};
-use crate::runner::{default_jobs, execute_cell, geometric_mean, Cell};
+use crate::runner::{default_jobs, geometric_mean, Cell};
 
 /// Thread counts swept by Figure 3 / Figure 4.
 pub const THREADS_FULL: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
@@ -472,12 +472,6 @@ pub fn convergence(threads: usize, scale: f64) -> Vec<ConvergenceResult> {
             updates: sched.counters().updates,
         }
     })
-}
-
-/// Quick single-cell speedup at harness seed 0 (used by benches and
-/// tests).
-pub fn quick_speedup(benchmark: Benchmark, policy: PolicyKind, threads: usize, scale: f64) -> f64 {
-    execute_cell(cell(benchmark, policy, threads), 0, scale, None).speedup()
 }
 
 #[cfg(test)]

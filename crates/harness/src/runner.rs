@@ -25,7 +25,7 @@ pub struct HarnessConfig {
     /// simulator's only run-to-run variance is the seed).
     pub seeds: u64,
     /// Scale factor on each benchmark's default transactions-per-thread
-    /// (1.0 = the full default; smaller for quick benches).
+    /// (1.0 = the full default; smaller for quick runs).
     pub scale: f64,
     /// OS threads the cell executor fans work out across (1 = serial;
     /// results are bit-identical either way).
@@ -98,7 +98,7 @@ pub fn default_jobs() -> usize {
 
 /// Derives the driver RNG seed for harness seed `seed`.
 ///
-/// Every simulation the harness, benches, CLI and conformance replay
+/// Every simulation the harness, CLI and conformance replay
 /// matrix perform goes through this one function, so the committed golden
 /// trace hashes (`crates/conformance/tests/fixtures/trace_hashes.txt`)
 /// pin its output: changing the constants is a fixture re-bless, not a

@@ -250,7 +250,7 @@ pub struct RunMetrics {
     /// True when the run hit the event safety valve before completing.
     pub truncated: bool,
     /// Total DES events dispatched by the driver's main loop — the
-    /// denominator for the bench harness's events/sec throughput figures.
+    /// denominator of events/sec throughput figures.
     pub events: u64,
     /// Digest of the run's entire event schedule in execution order (from
     /// [`seer_sim::EventQueue::trace_hash`]). Two runs of the same

@@ -1,4 +1,4 @@
-//! Configurable synthetic workloads for tests, microbenches and overhead
+//! Configurable synthetic workloads for tests and overhead
 //! studies (e.g. the low-contention hash-map of the paper's §5.3).
 //!
 //! A [`SyntheticSpec`] describes a program as a set of atomic blocks, each
