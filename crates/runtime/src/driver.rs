@@ -173,6 +173,10 @@ enum Event {
 
 struct ThreadCtx {
     req: Option<TxRequest>,
+    /// The thread's request buffer between transactions: a committed
+    /// request is parked here and refilled by the next `next_into`, so
+    /// its `accesses` allocation is reused.
+    spare: TxRequest,
     attempts_left: u32,
     attempts_used: u32,
     epoch: u64,
@@ -194,6 +198,7 @@ impl ThreadCtx {
     fn new() -> Self {
         Self {
             req: None,
+            spare: TxRequest::default(),
             attempts_left: 0,
             attempts_used: 0,
             epoch: 0,
@@ -669,31 +674,28 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
             ctx.epoch += 1;
             return;
         }
-        let next = self.workload.next(th, &mut self.rng);
-        match next {
-            None => {
-                self.threads[th].phase = Phase::Done;
-                self.threads[th].finished_at = self.now;
-                self.bump(th);
-                self.live_threads -= 1;
-            }
-            Some(mut req) => {
-                debug_assert!(req.is_well_formed(), "malformed trace from workload");
-                debug_assert!(req.block < self.workload.num_blocks());
-                self.metrics.sequential_cycles += req.think + req.duration;
-                self.scale_req(th, &mut req);
-                let think = req.think;
-                let ctx = &mut self.threads[th];
-                ctx.req = Some(req);
-                ctx.attempts_left = self.budget;
-                ctx.attempts_used = 0;
-                ctx.phase = Phase::Thinking;
-                ctx.epoch += 1;
-                let epoch = ctx.epoch;
-                self.queue
-                    .push(self.now + extra_delay + think, Event::ThinkDone { th, epoch });
-            }
+        let mut req = std::mem::take(&mut self.threads[th].spare);
+        if !self.workload.next_into(th, &mut req, &mut self.rng) {
+            self.threads[th].phase = Phase::Done;
+            self.threads[th].finished_at = self.now;
+            self.bump(th);
+            self.live_threads -= 1;
+            return;
         }
+        debug_assert!(req.is_well_formed(), "malformed trace from workload");
+        debug_assert!(req.block < self.workload.num_blocks());
+        self.metrics.sequential_cycles += req.think + req.duration;
+        self.scale_req(th, &mut req);
+        let think = req.think;
+        let ctx = &mut self.threads[th];
+        ctx.req = Some(req);
+        ctx.attempts_left = self.budget;
+        ctx.attempts_used = 0;
+        ctx.phase = Phase::Thinking;
+        ctx.epoch += 1;
+        let epoch = ctx.epoch;
+        self.queue
+            .push(self.now + extra_delay + think, Event::ThinkDone { th, epoch });
     }
 
     /// Alg. 1 START: announce, decide pre-tx serialization, gate, attempt.
@@ -1116,6 +1118,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         self.release_all_held(th);
         let req = self.threads[th].req.take().expect("commit without request");
         self.workload.commit(th, &req, &mut self.rng);
+        self.threads[th].spare = req;
         self.next_tx(th, self.sched.overhead(HookPoint::HtmCommit));
     }
 
@@ -1265,6 +1268,7 @@ impl<'w, 's, 't> Driver<'w, 's, 't> {
         self.threads[th].held.retain(|&l| l != LockId::Sgl);
         let req = self.threads[th].req.take().expect("fallback without request");
         self.workload.commit(th, &req, &mut self.rng);
+        self.threads[th].spare = req;
         self.next_tx(th, self.sched.overhead(HookPoint::FallbackCommit));
     }
 }

@@ -8,8 +8,10 @@
 //! regions do not. This gives tests precise control over the conflict
 //! graph the schedulers must discover.
 
+use std::sync::Arc;
+
 use seer_htm::AccessKind;
-use seer_sim::{Cycles, SimRng, ThreadId, ZipfTable};
+use seer_sim::{CdfSampler, Cycles, SimRng, ThreadId, ZipfTable};
 
 use crate::workload::{Access, TxRequest, Workload};
 
@@ -94,8 +96,8 @@ const PRIVATE_STRIDE: u64 = 1 << 20;
 #[derive(Debug, Clone)]
 pub struct SyntheticWorkload {
     spec: SyntheticSpec,
-    weights_cdf: Vec<f64>,
-    zipf: Vec<ZipfTable>,
+    block_mix: CdfSampler,
+    zipf: Vec<Arc<ZipfTable>>,
     issued: Vec<usize>,
     private_cursor: Vec<u64>,
 }
@@ -107,25 +109,15 @@ impl SyntheticWorkload {
     /// If the spec has no blocks or non-positive total weight.
     pub fn new(spec: SyntheticSpec, threads: usize) -> Self {
         assert!(!spec.blocks.is_empty(), "spec needs at least one block");
-        let total: f64 = spec.blocks.iter().map(|b| b.weight).sum();
-        assert!(total > 0.0, "total block weight must be positive");
-        let mut acc = 0.0;
-        let weights_cdf = spec
-            .blocks
-            .iter()
-            .map(|b| {
-                acc += b.weight / total;
-                acc
-            })
-            .collect();
+        let block_mix = CdfSampler::from_weights(spec.blocks.iter().map(|b| b.weight));
         let zipf = spec
             .blocks
             .iter()
-            .map(|b| ZipfTable::new(b.hot_lines.max(1) as usize, b.zipf_theta))
+            .map(|b| ZipfTable::shared(b.hot_lines.max(1) as usize, b.zipf_theta))
             .collect();
         Self {
             spec,
-            weights_cdf,
+            block_mix,
             zipf,
             issued: vec![0; threads],
             private_cursor: (0..threads as u64)
@@ -140,15 +132,21 @@ impl SyntheticWorkload {
     }
 
     fn pick_block(&self, rng: &mut SimRng) -> usize {
-        let u = rng.unit();
-        self.weights_cdf
-            .partition_point(|&c| c < u)
-            .min(self.spec.blocks.len() - 1)
+        self.block_mix.sample(rng.unit())
     }
 
-    fn build_trace(&mut self, thread: ThreadId, block: usize, rng: &mut SimRng) -> TxRequest {
+    /// Overwrites `req` with a fresh trace of `block`, reusing
+    /// `req.accesses`' allocation.
+    fn fill_trace(
+        &mut self,
+        thread: ThreadId,
+        block: usize,
+        req: &mut TxRequest,
+        rng: &mut SimRng,
+    ) {
         let spec = &self.spec.blocks[block];
-        let mut accesses = Vec::with_capacity(spec.accesses as usize);
+        let accesses = &mut req.accesses;
+        accesses.clear();
         let mut offset: Cycles = 0;
         for _ in 0..spec.accesses {
             offset += rng.cycles_between(spec.spacing.0, spec.spacing.1);
@@ -170,14 +168,9 @@ impl SyntheticWorkload {
             };
             accesses.push(Access { line, kind, offset });
         }
-        let duration = offset + rng.cycles_between(spec.spacing.0, spec.spacing.1);
-        let think = rng.cycles_between(self.spec.think.0, self.spec.think.1);
-        TxRequest {
-            block,
-            accesses,
-            duration,
-            think,
-        }
+        req.block = block;
+        req.duration = offset + rng.cycles_between(spec.spacing.0, spec.spacing.1);
+        req.think = rng.cycles_between(self.spec.think.0, self.spec.think.1);
     }
 }
 
@@ -191,21 +184,27 @@ impl Workload for SyntheticWorkload {
     }
 
     fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
+        let mut req = TxRequest::default();
+        self.next_into(thread, &mut req, rng).then_some(req)
+    }
+
+    fn next_into(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) -> bool {
         if self.issued[thread] >= self.spec.txs_per_thread {
-            return None;
+            return false;
         }
         self.issued[thread] += 1;
         let block = self.pick_block(rng);
-        Some(self.build_trace(thread, block, rng))
+        self.fill_trace(thread, block, req, rng);
+        true
     }
 
     fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {
         // Re-execution re-probes the data structures: rebuild the trace for
         // the same atomic block, preserving the original think time (it was
-        // already consumed).
-        let block = req.block;
+        // already consumed). The rebuild still draws a fresh think time and
+        // discards it, so the RNG stream matches a full trace build.
         let think = req.think;
-        *req = self.build_trace(thread, block, rng);
+        self.fill_trace(thread, req.block, req, rng);
         req.think = think;
     }
 }

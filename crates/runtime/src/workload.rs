@@ -30,7 +30,10 @@ pub struct Access {
 }
 
 /// A transaction instance: one dynamic execution of an atomic block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The default value is an empty request, used as a buffer for
+/// [`Workload::next_into`] to fill.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TxRequest {
     /// Which atomic block this instance executes.
     pub block: BlockId,
@@ -40,6 +43,26 @@ pub struct TxRequest {
     pub duration: Cycles,
     /// Non-transactional work preceding this transaction.
     pub think: Cycles,
+}
+
+impl Clone for TxRequest {
+    fn clone(&self) -> Self {
+        Self {
+            block: self.block,
+            accesses: self.accesses.clone(),
+            duration: self.duration,
+            think: self.think,
+        }
+    }
+
+    /// Reuses `self.accesses`' allocation (the derived `clone_from` would
+    /// drop it and allocate a fresh one).
+    fn clone_from(&mut self, source: &Self) {
+        self.block = source.block;
+        self.accesses.clone_from(&source.accesses);
+        self.duration = source.duration;
+        self.think = source.think;
+    }
 }
 
 impl TxRequest {
@@ -73,6 +96,28 @@ pub trait Workload {
     /// Produces the next transaction for `thread`, or `None` when the
     /// thread has finished its share of the work.
     fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest>;
+
+    /// [`next`](Self::next) into a caller-owned buffer: overwrites every
+    /// field of `req` with the next transaction for `thread` and returns
+    /// `true`, or returns `false` (leaving `req` unspecified) when the
+    /// thread has finished.
+    ///
+    /// The driver calls this with one reused buffer per thread, so a
+    /// workload that refills `req.accesses` in place generates
+    /// transactions without allocating. The default forwards to `next`,
+    /// which stays the required method: a workload written against `next`
+    /// alone (or a decorator forwarding only `next`) keeps working, it
+    /// just allocates per transaction. An override must draw from `rng`
+    /// exactly as its `next` does.
+    fn next_into(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) -> bool {
+        match self.next(thread, rng) {
+            Some(next) => {
+                *req = next;
+                true
+            }
+            None => false,
+        }
+    }
 
     /// Refreshes `req`'s trace for a retry after an abort. The default
     /// keeps the trace unchanged (re-execution touches the same data).

@@ -13,12 +13,17 @@
 //! * driver level — back-to-back full simulations of the same
 //!   configuration must be bit-identical in every metric, event count and
 //!   trace hash, even though the second run's process state (allocator,
-//!   buffer capacities) differs from the first's.
+//!   buffer capacities) differs from the first's;
+//! * workload level — the driver reuses one `TxRequest` per thread across
+//!   transactions (`Workload::next_into`, in-place `regenerate`). A run
+//!   whose reused requests are poisoned before every refill, and a run
+//!   through a workload that implements only `next` (the default,
+//!   allocating `next_into`), must match the plain run exactly.
 
 use seer_htm::{AccessKind, HtmConfig, HtmMachine};
 use seer_runtime::synthetic::{BlockSpec, SyntheticSpec, SyntheticWorkload};
-use seer_runtime::{run, DriverConfig, NullScheduler};
-use seer_sim::Topology;
+use seer_runtime::{run, Access, DriverConfig, NullScheduler, TxRequest, Workload};
+use seer_sim::{SimRng, ThreadId, Topology};
 
 /// One scripted access episode: SMT-paired threads begin (squeezing
 /// siblings), collide on shared lines, and wind down through commit and
@@ -85,7 +90,7 @@ fn reused_dirty_buffers_match_fresh_allocations() {
     }
 }
 
-fn audit_run(seed: u64) -> seer_runtime::RunMetrics {
+fn audit_workload() -> SyntheticWorkload {
     let spec = SyntheticSpec {
         name: "scratch-audit".into(),
         blocks: vec![BlockSpec {
@@ -101,11 +106,109 @@ fn audit_run(seed: u64) -> seer_runtime::RunMetrics {
         txs_per_thread: 150,
         think: (40, 120),
     };
-    let mut w = SyntheticWorkload::new(spec, 8);
+    SyntheticWorkload::new(spec, 8)
+}
+
+fn audit_run_of(w: &mut dyn Workload, seed: u64) -> seer_runtime::RunMetrics {
     let mut s = NullScheduler::new(5);
     let mut cfg = DriverConfig::paper_machine(8, seed);
     cfg.costs.async_abort_per_cycle = 0.0;
-    run(&mut w, &mut s, &cfg)
+    run(w, &mut s, &cfg)
+}
+
+fn audit_run(seed: u64) -> seer_runtime::RunMetrics {
+    audit_run_of(&mut audit_workload(), seed)
+}
+
+/// Fills a request's trace fields with garbage and grows its buffer, as a
+/// stale request from another block and thread would leave them.
+fn poison_trace(req: &mut TxRequest) {
+    let junk = Access {
+        line: 0xDEAD_BEEF,
+        kind: AccessKind::Write,
+        offset: u64::MAX,
+    };
+    req.accesses.extend(std::iter::repeat_n(junk, 7));
+    req.accesses.reserve(256);
+    req.duration = 3;
+}
+
+/// Poisons the reused request before every in-place refill. A sound
+/// `next_into` must overwrite every field; a sound `regenerate` every
+/// field but the block and think time it is defined to keep.
+struct Poisoning<W>(W);
+
+impl<W: Workload> Workload for Poisoning<W> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn num_blocks(&self) -> usize {
+        self.0.num_blocks()
+    }
+
+    fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
+        self.0.next(thread, rng)
+    }
+
+    fn next_into(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) -> bool {
+        poison_trace(req);
+        req.block = usize::MAX / 2;
+        req.think = 1;
+        self.0.next_into(thread, req, rng)
+    }
+
+    fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {
+        poison_trace(req);
+        self.0.regenerate(thread, req, rng);
+    }
+
+    fn commit(&mut self, thread: ThreadId, req: &TxRequest, rng: &mut SimRng) {
+        self.0.commit(thread, req, rng);
+    }
+}
+
+/// Implements only `next`, so the driver goes through the default
+/// `next_into`; retries regenerate into a fresh copy. Every request is a
+/// new allocation — the path the in-place one must reproduce.
+struct NextOnly<W>(W);
+
+impl<W: Workload> Workload for NextOnly<W> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn num_blocks(&self) -> usize {
+        self.0.num_blocks()
+    }
+
+    fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
+        self.0.next(thread, rng)
+    }
+
+    fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {
+        let mut fresh = req.clone();
+        self.0.regenerate(thread, &mut fresh, rng);
+        *req = fresh;
+    }
+
+    fn commit(&mut self, thread: ThreadId, req: &TxRequest, rng: &mut SimRng) {
+        self.0.commit(thread, req, rng);
+    }
+}
+
+#[test]
+fn reused_requests_match_the_allocating_path() {
+    let plain = audit_run(0x5EED);
+    assert!(plain.aborts.total() > 0, "audit workload must exercise retries");
+    assert!(plain.fallbacks > 0, "audit workload must exercise fall-back commits");
+    let poisoned = audit_run_of(&mut Poisoning(audit_workload()), 0x5EED);
+    let allocating = audit_run_of(&mut NextOnly(audit_workload()), 0x5EED);
+    // The Debug rendering covers every metric, the event count and the
+    // trace hash.
+    let expected = format!("{plain:?}");
+    assert_eq!(format!("{poisoned:?}"), expected, "poisoned buffers leaked into a run");
+    assert_eq!(format!("{allocating:?}"), expected, "default next_into diverged");
 }
 
 #[test]

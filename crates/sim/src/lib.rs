@@ -35,7 +35,7 @@ pub mod topology;
 pub use event::{EventEntry, EventQueue};
 pub use histogram::CycleHistogram;
 pub use lock::{LockStats, SimLock};
-pub use rng::{SimRng, ZipfTable};
+pub use rng::{CdfSampler, SimRng, ZipfTable};
 pub use topology::{CoreId, ThreadId, Topology};
 
 /// Virtual time, in cycles of the simulated machine.

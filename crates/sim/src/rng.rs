@@ -10,6 +10,9 @@
 //! external crate can silently change the stream between releases, which is
 //! what the deterministic-replay fixtures in `seer-conformance` rely on.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
 use crate::Cycles;
 
 /// Deterministic simulation RNG.
@@ -152,11 +155,100 @@ impl SimRng {
     /// `theta` via inverse-CDF over precomputed weights in [`ZipfTable`].
     ///
     /// The workload models construct a [`ZipfTable`] once and sample from it
-    /// per access, so the O(n) normalization cost is paid only at setup.
+    /// per access, so the O(n) normalization cost is paid only at setup;
+    /// each draw costs one uniform and an O(1)-expected guide-table search
+    /// (see [`CdfSampler`]).
     pub fn zipf(&mut self, table: &ZipfTable) -> usize {
         table.sample(self.unit())
     }
 }
+
+/// Inverse-CDF sampler over a non-decreasing cumulative table.
+///
+/// `sample(u)` returns the smallest index `i` with `cdf[i] >= u`, clamped
+/// to the last index — exactly `cdf.partition_point(|&c| c < u).min(n - 1)`
+/// — but finds it through a *guide table* (Chen & Asau 1974; Devroye,
+/// *Non-Uniform Random Variate Generation*, §III.2.4) instead of a binary
+/// search. `guide[k]` is the smallest `i` with `cdf[i] >= k/n` (clamped to
+/// `n - 1`); a draw starts at `guide[floor(u·n)]`, steps back while the
+/// previous entry still covers `u` (which absorbs the rounding of `u·n`
+/// and of `k/n`) and forward while the current one does not. The two
+/// walks alone make the result exact for any start index, so the guide
+/// only decides speed: the forward walk crosses the CDF entries inside
+/// one of `n` equal-width buckets, which is at most one entry on average
+/// over a uniform `u`, making each draw O(1) expected.
+///
+/// The last entry need not be 1.0 (a block-mix CDF summed in floating
+/// point may end just below it); draws above it map to the last index.
+#[derive(Debug, Clone)]
+pub struct CdfSampler {
+    cdf: Vec<f64>,
+    guide: Vec<u32>,
+}
+
+impl CdfSampler {
+    /// Builds a sampler over `cdf`, which must be non-decreasing.
+    ///
+    /// # Panics
+    /// If `cdf` is empty or has more than `u32::MAX` entries.
+    pub fn new(cdf: Vec<f64>) -> Self {
+        let n = cdf.len();
+        assert!(n > 0, "CdfSampler over an empty table");
+        assert!(u32::try_from(n).is_ok(), "CdfSampler over {n} entries");
+        debug_assert!(cdf.windows(2).all(|w| w[0] <= w[1]), "CDF must be monotone");
+        // One sweep: the thresholds k/n rise with k, so the cursor only
+        // moves forward.
+        let mut guide = Vec::with_capacity(n);
+        let mut i = 0;
+        for k in 0..n {
+            let threshold = k as f64 / n as f64;
+            while i < n - 1 && cdf[i] < threshold {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        Self { cdf, guide }
+    }
+
+    /// A sampler drawing index `i` with probability `w[i] / Σ w` over the
+    /// relative `weights`. Its CDF is the running sum of the normalised
+    /// weights, so it may end just off 1.0.
+    ///
+    /// # Panics
+    /// If `weights` is empty or does not sum to a positive total.
+    pub fn from_weights(weights: impl Iterator<Item = f64> + Clone) -> Self {
+        let total: f64 = weights.clone().sum();
+        assert!(total > 0.0, "total weight must be positive");
+        let mut acc = 0.0;
+        Self::new(
+            weights
+                .map(|w| {
+                    acc += w / total;
+                    acc
+                })
+                .collect(),
+        )
+    }
+
+    /// Maps a uniform draw `u in [0, 1)` to an index by guide-table search.
+    pub fn sample(&self, u: f64) -> usize {
+        let cdf = &self.cdf;
+        let n = cdf.len();
+        let k = ((u * n as f64) as usize).min(n - 1);
+        let mut i = self.guide[k] as usize;
+        while i > 0 && cdf[i - 1] >= u {
+            i -= 1;
+        }
+        while i < n - 1 && cdf[i] < u {
+            i += 1;
+        }
+        debug_assert_eq!(i, cdf.partition_point(|&c| c < u).min(n - 1));
+        i
+    }
+}
+
+/// [`ZipfTable::shared`]'s tables, keyed on `(n, theta.to_bits())`.
+type TableCache = HashMap<(usize, u64), Arc<ZipfTable>>;
 
 /// Precomputed cumulative weights for bounded Zipf sampling.
 ///
@@ -166,7 +258,7 @@ impl SimRng {
 /// work-queue head).
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
-    cdf: Vec<f64>,
+    sampler: CdfSampler,
 }
 
 impl ZipfTable {
@@ -194,23 +286,54 @@ impl ZipfTable {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf }
+        Self {
+            sampler: CdfSampler::new(cdf),
+        }
+    }
+
+    /// The table over `(n, theta)`, built on first request and shared for
+    /// the rest of the process.
+    ///
+    /// Workload models request the same few tables over and over (every
+    /// sweep cell re-instantiates its benchmark, and a many-block synthetic
+    /// model repeats one region shape per block), so the cache keys on
+    /// `(n, theta.to_bits())` — bitwise, so tables built from different
+    /// exponents never alias — and keeps every table it builds. Its size is
+    /// bounded by the distinct parameters a process uses.
+    ///
+    /// # Panics
+    /// As [`ZipfTable::new`].
+    pub fn shared(n: usize, theta: f64) -> Arc<ZipfTable> {
+        static TABLES: OnceLock<Mutex<TableCache>> = OnceLock::new();
+        // A panic inside `new` (bad parameters) inserts nothing, so a
+        // poisoned map is still consistent.
+        let mut tables = TABLES
+            .get_or_init(Mutex::default)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(
+            tables
+                .entry((n, theta.to_bits()))
+                .or_insert_with(|| Arc::new(ZipfTable::new(n, theta))),
+        )
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.sampler.cdf.len()
     }
 
-    /// True when the table covers a single element.
+    /// Always false: [`ZipfTable::new`] rejects empty tables. Present for
+    /// API symmetry with [`ZipfTable::len`].
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        false
     }
 
-    /// Maps a uniform draw `u in [0, 1)` to an index by binary search.
+    /// Maps a uniform draw `u in [0, 1)` to an index by guide-table search
+    /// (O(1) expected; see [`CdfSampler`]).
     pub fn sample(&self, u: f64) -> usize {
         debug_assert!((0.0..=1.0).contains(&u));
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.sampler.sample(u)
     }
 }
 

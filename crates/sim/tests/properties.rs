@@ -1,7 +1,84 @@
 //! Property-based tests for the simulation substrate.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use seer_sim::{EventQueue, SimLock, SimRng, ZipfTable};
+use seer_sim::{CdfSampler, EventQueue, SimLock, SimRng, ZipfTable};
+
+/// The binary search the guide table replaces: the first index whose CDF
+/// entry covers `u`, clamped to the last index.
+fn partition_oracle(cdf: &[f64], u: f64) -> usize {
+    cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
+}
+
+/// A cumulative table over `weights` (zero weights repeat the previous
+/// entry). `tail` picks how it is summed: 0 normalises exact integer
+/// partial sums, so it ends at exactly 1.0 (as `ZipfTable` does); 1 sums
+/// the normalised weights, so it may end just off 1.0 (as a block-mix CDF
+/// does); 2 scales the table so it ends clearly below 1.0.
+fn cdf_of(weights: &[u8], tail: u8) -> Vec<f64> {
+    let total: f64 = weights.iter().map(|&w| f64::from(w)).sum::<f64>().max(1.0);
+    let mut acc = 0.0;
+    weights
+        .iter()
+        .map(|&w| match tail {
+            0 => {
+                acc += f64::from(w);
+                acc / total
+            }
+            1 => {
+                acc += f64::from(w) / total;
+                acc
+            }
+            _ => {
+                acc += f64::from(w) / total;
+                acc * 0.9
+            }
+        })
+        .collect()
+}
+
+/// The draws most likely to expose an off-by-one: 0, 1, every bucket
+/// edge `k/n`, every CDF entry, and their immediate floating-point
+/// neighbours.
+fn edge_draws(cdf: &[f64]) -> Vec<f64> {
+    let n = cdf.len();
+    let mut draws = vec![0.0, f64::MIN_POSITIVE, 1.0f64.next_down(), 1.0];
+    for k in 0..=n {
+        draws.push(k as f64 / n as f64);
+    }
+    draws.extend_from_slice(cdf);
+    let points = draws.clone();
+    for u in points {
+        draws.push(u.next_down());
+        draws.push(u.next_up());
+    }
+    // `ZipfTable::sample` accepts the closed interval.
+    draws.retain(|u| (0.0..=1.0).contains(u));
+    draws
+}
+
+#[test]
+fn cdf_sampler_single_entry_always_returns_zero() {
+    for last in [1.0, 0.5, 0.0] {
+        let sampler = CdfSampler::new(vec![last]);
+        for u in [0.0, 0.25, 0.5, 0.75, 1.0f64.next_down()] {
+            assert_eq!(sampler.sample(u), 0);
+        }
+    }
+}
+
+#[test]
+fn shared_zipf_tables_are_keyed_on_exact_parameters() {
+    let a = ZipfTable::shared(96, 0.6);
+    let b = ZipfTable::shared(96, 0.6);
+    assert!(Arc::ptr_eq(&a, &b), "equal parameters must share one table");
+    let nudged = ZipfTable::shared(96, 0.6f64.next_up());
+    assert!(!Arc::ptr_eq(&a, &nudged), "a 1-ulp theta change is a new table");
+    let wider = ZipfTable::shared(97, 0.6);
+    assert!(!Arc::ptr_eq(&a, &wider), "a different n is a new table");
+    assert_eq!((a.len(), wider.len()), (96, 97));
+}
 
 proptest! {
     /// The event queue pops a total order: non-decreasing times, and FIFO
@@ -54,6 +131,46 @@ proptest! {
         let lo = table.sample(0.0);
         let hi = table.sample(0.999_999_9);
         prop_assert!(lo <= hi);
+    }
+
+    /// The guide-table search returns exactly the binary search's index
+    /// for every draw, on tables with ties, zero-weight runs and a last
+    /// entry below 1.0, at every bucket edge and CDF value.
+    #[test]
+    fn cdf_sampler_matches_partition_point(
+        weights in prop::collection::vec(0u8..4, 1..64),
+        tail in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let cdf = cdf_of(&weights, tail);
+        let sampler = CdfSampler::new(cdf.clone());
+        for u in edge_draws(&cdf) {
+            prop_assert_eq!(sampler.sample(u), partition_oracle(&cdf, u), "u = {}", u);
+        }
+        let mut rng = SimRng::new(seed);
+        for _ in 0..200 {
+            let u = rng.unit();
+            prop_assert_eq!(sampler.sample(u), partition_oracle(&cdf, u), "u = {}", u);
+        }
+    }
+
+    /// The same exactness on real Zipf tables, whose entries cluster far
+    /// more unevenly across the guide buckets than small random tables.
+    #[test]
+    fn zipf_guide_matches_partition_point(n in 1usize..2_000, theta in 0.0f64..2.5) {
+        let table = ZipfTable::new(n, theta);
+        let mut acc = 0.0;
+        let mut cdf: Vec<f64> = (0..n)
+            .map(|i| {
+                acc += 1.0 / ((i + 1) as f64).powf(theta);
+                acc
+            })
+            .collect();
+        cdf.iter_mut().for_each(|c| *c /= acc);
+        *cdf.last_mut().unwrap() = 1.0;
+        for u in edge_draws(&cdf) {
+            prop_assert_eq!(table.sample(u), partition_oracle(&cdf, u), "u = {}", u);
+        }
     }
 
     /// Same seed => identical stream; derive(label) deterministic.

@@ -12,9 +12,11 @@
 //! (Minh et al., IISWC'08) and the relative scheduler behaviour of the
 //! Seer paper's Figure 3. See `DESIGN.md` §2 for the substitution argument.
 
+use std::sync::Arc;
+
 use seer_htm::AccessKind;
 use seer_runtime::{Access, TxRequest, Workload};
-use seer_sim::{Cycles, SimRng, ThreadId, ZipfTable};
+use seer_sim::{CdfSampler, Cycles, SimRng, ThreadId, ZipfTable};
 
 /// Inclusive integer range used for per-transaction draws.
 pub type Range = (u64, u64);
@@ -73,8 +75,9 @@ impl Default for StampBlock {
 pub struct StampModel {
     name: String,
     blocks: Vec<StampBlock>,
-    weights_cdf: Vec<f64>,
-    zipf: Vec<Vec<ZipfTable>>,
+    block_mix: CdfSampler,
+    /// Per block, per region: the shared (process-wide) line table.
+    zipf: Vec<Vec<Arc<ZipfTable>>>,
     remaining: Vec<usize>,
     private_cursor: Vec<u64>,
 }
@@ -101,29 +104,20 @@ impl StampModel {
         txs_per_thread: usize,
     ) -> Self {
         assert!(!blocks.is_empty(), "a model needs at least one block");
-        let total: f64 = blocks.iter().map(|b| b.weight).sum();
-        assert!(total > 0.0, "total weight must be positive");
-        let mut acc = 0.0;
-        let weights_cdf = blocks
-            .iter()
-            .map(|b| {
-                acc += b.weight / total;
-                acc
-            })
-            .collect();
+        let block_mix = CdfSampler::from_weights(blocks.iter().map(|b| b.weight));
         let zipf = blocks
             .iter()
             .map(|b| {
                 b.regions
                     .iter()
-                    .map(|r| ZipfTable::new(r.lines.max(1) as usize, r.theta))
+                    .map(|r| ZipfTable::shared(r.lines.max(1) as usize, r.theta))
                     .collect()
             })
             .collect();
         Self {
             name: name.into(),
             blocks,
-            weights_cdf,
+            block_mix,
             zipf,
             remaining: vec![txs_per_thread; threads],
             private_cursor: (0..threads as u64).map(|t| t * PRIVATE_STRIDE).collect(),
@@ -141,29 +135,37 @@ impl StampModel {
     }
 
     fn pick_block(&self, rng: &mut SimRng) -> usize {
-        let u = rng.unit();
-        self.weights_cdf
-            .partition_point(|&c| c < u)
-            .min(self.blocks.len() - 1)
+        self.block_mix.sample(rng.unit())
     }
 
     fn draw(rng: &mut SimRng, range: Range) -> u64 {
         rng.range_inclusive(range.0, range.1)
     }
 
-    fn build_trace(&mut self, thread: ThreadId, block: usize, rng: &mut SimRng) -> TxRequest {
+    /// Overwrites `req` with a fresh trace of `block`, reusing
+    /// `req.accesses`' allocation.
+    fn fill_trace(
+        &mut self,
+        thread: ThreadId,
+        block: usize,
+        req: &mut TxRequest,
+        rng: &mut SimRng,
+    ) {
         let spec = &self.blocks[block];
-        // Collect the line/kind pairs first, then lay them out in time.
-        let mut picks: Vec<(u64, AccessKind)> = Vec::new();
-        for (ri, r) in spec.regions.iter().enumerate() {
+        // Collect the line/kind pairs first (offsets are set after the
+        // shuffle), then lay them out in time.
+        let accesses = &mut req.accesses;
+        accesses.clear();
+        let mut pick = |line, kind| accesses.push(Access { line, kind, offset: 0 });
+        for (r, zipf) in spec.regions.iter().zip(&self.zipf[block]) {
             let base = r.region * REGION_STRIDE;
             let n_reads = Self::draw(rng, r.reads);
             let n_writes = Self::draw(rng, r.writes);
             for _ in 0..n_reads {
-                picks.push((base + rng.zipf(&self.zipf[block][ri]) as u64, AccessKind::Read));
+                pick(base + rng.zipf(zipf) as u64, AccessKind::Read);
             }
             for _ in 0..n_writes {
-                picks.push((base + rng.zipf(&self.zipf[block][ri]) as u64, AccessKind::Write));
+                pick(base + rng.zipf(zipf) as u64, AccessKind::Write);
             }
         }
         let pr = Self::draw(rng, spec.private_reads);
@@ -173,27 +175,22 @@ impl StampModel {
             *cursor += 1;
             let line = PRIVATE_BASE + thread as u64 * PRIVATE_STRIDE + (*cursor % PRIVATE_WINDOW);
             let kind = if i < pr { AccessKind::Read } else { AccessKind::Write };
-            picks.push((line, kind));
+            pick(line, kind);
         }
         // Deterministic Fisher–Yates shuffle so reads/writes and regions
         // interleave in time the way real code interleaves structures.
-        for i in (1..picks.len()).rev() {
+        for i in (1..accesses.len()).rev() {
             let j = rng.below(i as u64 + 1) as usize;
-            picks.swap(i, j);
+            accesses.swap(i, j);
         }
-        let mut accesses = Vec::with_capacity(picks.len());
         let mut offset: Cycles = 0;
-        for (line, kind) in picks {
+        for a in accesses.iter_mut() {
             offset += Self::draw(rng, spec.spacing);
-            accesses.push(Access { line, kind, offset });
+            a.offset = offset;
         }
-        let duration = offset + Self::draw(rng, spec.spacing);
-        TxRequest {
-            block,
-            accesses,
-            duration,
-            think: Self::draw(rng, spec.think),
-        }
+        req.block = block;
+        req.duration = offset + Self::draw(rng, spec.spacing);
+        req.think = Self::draw(rng, spec.think);
     }
 }
 
@@ -207,18 +204,26 @@ impl Workload for StampModel {
     }
 
     fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
+        let mut req = TxRequest::default();
+        self.next_into(thread, &mut req, rng).then_some(req)
+    }
+
+    fn next_into(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) -> bool {
         if self.remaining[thread] == 0 {
-            return None;
+            return false;
         }
         self.remaining[thread] -= 1;
         let block = self.pick_block(rng);
-        Some(self.build_trace(thread, block, rng))
+        self.fill_trace(thread, block, req, rng);
+        true
     }
 
     fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {
-        let block = req.block;
+        // The rebuild draws a fresh think time like any trace build; it is
+        // discarded (the original was already spent) but still drawn, so
+        // the RNG stream is the one a full build consumes.
         let think = req.think;
-        *req = self.build_trace(thread, block, rng);
+        self.fill_trace(thread, req.block, req, rng);
         req.think = think;
     }
 }

@@ -29,6 +29,10 @@ pub struct RefinedModel<W> {
     inner: W,
     structures: usize,
     name: String,
+    /// Per-region access counts of the trace being refined (scratch).
+    counts: Vec<(u64, usize)>,
+    /// The committing request with its base block id (scratch).
+    base: TxRequest,
 }
 
 impl<W: Workload> RefinedModel<W> {
@@ -44,6 +48,8 @@ impl<W: Workload> RefinedModel<W> {
             inner,
             structures,
             name,
+            counts: Vec::new(),
+            base: TxRequest::default(),
         }
     }
 
@@ -64,8 +70,9 @@ impl<W: Workload> RefinedModel<W> {
 
     /// Dominant shared region of a trace (most-accessed region id), or 0
     /// for traces that touch no shared region.
-    fn dominant_structure(&self, req: &TxRequest) -> usize {
-        let mut counts: Vec<(u64, usize)> = Vec::new();
+    fn dominant_structure(&mut self, req: &TxRequest) -> usize {
+        let counts = &mut self.counts;
+        counts.clear();
         for a in &req.accesses {
             if a.line >= PRIVATE_BASE {
                 continue;
@@ -77,13 +84,13 @@ impl<W: Workload> RefinedModel<W> {
             }
         }
         counts
-            .into_iter()
-            .max_by_key(|&(_, n)| n)
-            .map(|(r, _)| (r as usize) % self.structures)
+            .iter()
+            .max_by_key(|&&(_, n)| n)
+            .map(|&(r, _)| (r as usize) % self.structures)
             .unwrap_or(0)
     }
 
-    fn refine(&self, req: &mut TxRequest) {
+    fn refine(&mut self, req: &mut TxRequest) {
         let structure = self.dominant_structure(req);
         req.block = req.block * self.structures + structure;
     }
@@ -99,10 +106,17 @@ impl<W: Workload> Workload for RefinedModel<W> {
     }
 
     fn next(&mut self, thread: ThreadId, rng: &mut SimRng) -> Option<TxRequest> {
-        let mut req = self.inner.next(thread, rng)?;
+        let mut req = TxRequest::default();
+        self.next_into(thread, &mut req, rng).then_some(req)
+    }
+
+    fn next_into(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) -> bool {
+        if !self.inner.next_into(thread, req, rng) {
+            return false;
+        }
         debug_assert!(req.block < self.inner.num_blocks());
-        self.refine(&mut req);
-        Some(req)
+        self.refine(req);
+        true
     }
 
     fn regenerate(&mut self, thread: ThreadId, req: &mut TxRequest, rng: &mut SimRng) {
@@ -116,9 +130,9 @@ impl<W: Workload> Workload for RefinedModel<W> {
     }
 
     fn commit(&mut self, thread: ThreadId, req: &TxRequest, rng: &mut SimRng) {
-        let mut base = req.clone();
-        base.block = self.base_block(req.block);
-        self.inner.commit(thread, &base, rng);
+        self.base.clone_from(req);
+        self.base.block = self.base_block(req.block);
+        self.inner.commit(thread, &self.base, rng);
     }
 }
 
@@ -168,7 +182,7 @@ mod tests {
     #[test]
     fn private_only_traces_fold_to_structure_zero() {
         // A fabricated request with only private lines refines to bucket 0.
-        let m = RefinedModel::new(Benchmark::Genome.instantiate(1, 1), 5);
+        let mut m = RefinedModel::new(Benchmark::Genome.instantiate(1, 1), 5);
         let req = TxRequest {
             block: 0,
             accesses: vec![seer_runtime::Access {
