@@ -327,11 +327,10 @@ pub fn sweep(args: &Args) -> Result<(), ParseError> {
     if !report.complete() {
         for f in &report.failed {
             eprintln!(
-                "sweep: FAILED {}/{}/t{} after {} attempt(s): {}",
+                "sweep: FAILED {}/{}/t{}: {}",
                 f.key.benchmark.spec(),
                 f.key.policy.name(),
                 f.key.threads,
-                f.attempts,
                 f.failure,
             );
         }
@@ -836,8 +835,8 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
                         None => {
                             let f = &report.failed[0];
                             return Err(ParseError(format!(
-                                "scenario {name:?} failed after {} attempt(s): {}",
-                                f.attempts, f.failure
+                                "scenario {name:?} failed: {}",
+                                f.failure
                             )));
                         }
                     }
@@ -911,11 +910,10 @@ pub fn scenario_run(args: &Args) -> Result<(), ParseError> {
     if !report.complete() {
         for f in &report.failed {
             eprintln!(
-                "scenario: FAILED {}/{} seed {} after {} attempt(s): {}",
+                "scenario: FAILED {}/{} seed {}: {}",
                 f.key.scenario,
                 f.key.policy.name(),
                 f.key.seed,
-                f.attempts,
                 f.failure,
             );
         }

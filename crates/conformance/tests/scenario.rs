@@ -52,8 +52,12 @@ fn builtin_library_is_deterministic_and_matches_fixtures() {
 
     let mut lines = Vec::new();
     for key in plan.items() {
-        let a = serial.outcome(&key.scenario, key.policy, key.seed);
-        let b = parallel.outcome(&key.scenario, key.policy, key.seed);
+        let a = serial
+            .cached(&key.scenario, key.policy, key.seed)
+            .expect("planned above");
+        let b = parallel
+            .cached(&key.scenario, key.policy, key.seed)
+            .expect("planned above");
         let a_report = a.report.to_json().to_string_compact();
         let b_report = b.report.to_json().to_string_compact();
         assert_eq!(a.metrics.trace_hash, b.metrics.trace_hash, "{key:?}");

@@ -14,8 +14,9 @@
 //! [`Executor`]; this module is the *cell-shaped* instantiation: it picks
 //! `K = CellKey`, `V = RunMetrics`, supplies the run function (the
 //! runner's `execute_cell`), and keeps the harness-flavoured plan sugar
-//! (`add`/`add_grid` expanding a `HarnessConfig`) and assembly helpers
-//! (`metrics`/`cell`).
+//! (`add`/`add_grid` expanding a `HarnessConfig`) and the memo reads
+//! assembly uses (`cached`/`cell`). Every simulation runs through
+//! [`CellExecutor::execute`]; the reads never compute.
 //!
 //! Every cell's discrete-event run is a pure function of
 //! `(cell, seed, scale)` — seeded via [`sim_seed`], sharing no state with
@@ -193,7 +194,7 @@ impl Plan {
 /// A thin instantiation of `seer-store`'s generic [`Executor`]: results
 /// are memoized per [`CellKey`] for the lifetime of the executor, served
 /// from an attached disk [`Store`] across processes, and computed under
-/// supervision (retry/deadline/panic isolation) when planned. The
+/// supervision (deadline/panic isolation) when planned. The
 /// executor is `Sync`; its workers only ever write distinct keys, and
 /// readers assemble results by key, which is why `--jobs N` is
 /// bit-identical to `--jobs 1` for every N.
@@ -252,13 +253,6 @@ impl CellExecutor {
         self.inner.execute(&plan.inner)
     }
 
-    /// Raw metrics of one `(cell, seed)` run at an explicit scale,
-    /// simulating on a cache miss (serially — batch work belongs in a
-    /// [`Plan`]).
-    pub fn metrics_at(&self, cell: Cell, seed: u64, scale: f64) -> RunMetrics {
-        self.inner.get(CellKey::new(cell, seed, scale))
-    }
-
     /// The memoized metrics of one item, without computing anything: the
     /// non-panicking read used to assemble partial reports around failed
     /// cells.
@@ -266,22 +260,26 @@ impl CellExecutor {
         self.inner.cached(&CellKey::new(cell, seed, scale))
     }
 
-    /// Raw metrics of one `(cell, seed)` run at the executor's scale.
-    pub fn metrics(&self, cell: Cell, seed: u64) -> RunMetrics {
-        self.metrics_at(cell, seed, self.cfg.scale)
-    }
-
     /// Seed-averaged measurements of `cell` over the executor's
-    /// `cfg.seeds` at `cfg.scale` — the memoized equivalent of
-    /// [`crate::runner::run_cell`].
+    /// `cfg.seeds` at `cfg.scale`, read from the memo — the executed
+    /// equivalent of [`crate::runner::run_cell`].
+    ///
+    /// # Panics
+    /// If a seed of `cell` has no memoized result: the cell was never
+    /// planned, or its run failed.
     pub fn cell(&self, cell: Cell) -> CellResult {
         let runs: Vec<RunMetrics> = (0..self.cfg.seeds)
-            .map(|seed| self.metrics(cell, seed))
+            .map(|seed| {
+                self.cached(cell, seed, self.cfg.scale).unwrap_or_else(|| {
+                    panic!("{cell:?} seed {seed} has no result: never planned, or its run failed")
+                })
+            })
             .collect();
         CellResult::average(&runs)
     }
 
-    /// Memo-cache reads that were served without simulating.
+    /// Planned items already in the memo cache, summed over every
+    /// [`CellExecutor::execute`] call.
     pub fn hits(&self) -> u64 {
         self.inner.hits()
     }
@@ -349,11 +347,11 @@ mod tests {
         exec.execute(&plan);
         assert_eq!(exec.misses(), 2);
         assert_eq!(exec.hits(), 2);
-        // Assembly over the cached seeds is all hits.
+        // Assembly reads the memo: it simulates nothing and counts no hit.
         let r = exec.cell(cell(2));
         assert!(r.speedup > 0.0);
         assert_eq!(exec.misses(), 2);
-        assert_eq!(exec.hits(), 4);
+        assert_eq!(exec.hits(), 2);
         // No store attached: nothing can be a disk hit.
         assert_eq!(exec.disk_hits(), 0);
     }
@@ -369,7 +367,7 @@ mod tests {
         let mut plan = Plan::new();
         plan.add(cell(4), &cfg);
         exec.execute(&plan);
-        let cached = exec.metrics(cell(4), 0);
+        let cached = exec.cached(cell(4), 0, 0.1).expect("planned above");
         let fresh = execute_cell(cell(4), 0, 0.1, None);
         assert_eq!(cached.trace_hash, fresh.trace_hash);
         assert_eq!(cached.makespan, fresh.makespan);

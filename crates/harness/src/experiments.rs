@@ -1,8 +1,9 @@
 //! The paper's experiments as reusable functions, one per table/figure.
 //!
-//! Each function *declares* its grid as a [`Plan`], hands it to the shared
-//! [`CellExecutor`] (which deduplicates, memoizes, and fans work out across
-//! `cfg.jobs` OS threads), then assembles the figure from cached results;
+//! Each grid experiment *declares* its grid as a [`Plan`], hands it to the
+//! shared [`CellExecutor`] (which deduplicates, memoizes, and fans work out
+//! across `cfg.jobs` OS threads), then assembles the figure from the memo;
+//! a cell whose run failed aborts the figure with every failure listed;
 //! `seer figure NAME` renders them. Tests and `perfbench/` call the
 //! same functions at reduced scale, so every number in
 //! `EXPERIMENTS.md` is regenerable from exactly one place — and figures
@@ -31,12 +32,48 @@ fn cell(benchmark: Benchmark, policy: PolicyKind, threads: usize) -> Cell {
     }
 }
 
+/// Executes the `benchmarks × policies × threads` grid on `exec`.
+///
+/// # Panics
+/// If any cell's run failed, listing every failed cell and why: a figure
+/// needs every cell it declares.
+fn resolve_grid(
+    exec: &CellExecutor,
+    benchmarks: &[Benchmark],
+    policies: &[PolicyKind],
+    threads: &[usize],
+) {
+    let mut plan = Plan::new();
+    plan.add_grid(benchmarks, policies, threads, exec.config());
+    let report = exec.execute(&plan);
+    if !report.complete() {
+        let failed: Vec<String> = report
+            .failed
+            .iter()
+            .map(|f| {
+                format!(
+                    "  {}/{}/t{} seed {}: {}",
+                    f.key.benchmark.spec(),
+                    f.key.policy.spec(),
+                    f.key.threads,
+                    f.key.seed,
+                    f.failure
+                )
+            })
+            .collect();
+        panic!(
+            "{} of {} cell(s) failed:\n{}",
+            report.failed.len(),
+            report.planned,
+            failed.join("\n")
+        );
+    }
+}
+
 /// Figure 3: speedup of HLE/RTM/SCM/Seer over sequential, per benchmark
 /// (panels a–h) plus the geometric-mean panel (i).
 pub fn figure3(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
-    let mut plan = Plan::new();
-    plan.add_grid(&Benchmark::STAMP, &PolicyKind::FIGURE3, threads, exec.config());
-    exec.execute(&plan);
+    resolve_grid(exec, &Benchmark::STAMP, &PolicyKind::FIGURE3, threads);
 
     let mut panels = Vec::new();
     // Per-policy, per-thread speedups across benchmarks, for the geo-mean.
@@ -86,9 +123,7 @@ pub fn figure3(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
 /// per-run median fraction of transaction locks Seer acquires.
 pub fn table3(exec: &CellExecutor, threads: &[usize]) -> (Vec<PercentTable>, Option<f64>) {
     use seer_runtime::TxMode;
-    let mut plan = Plan::new();
-    plan.add_grid(&Benchmark::STAMP, &PolicyKind::FIGURE3, threads, exec.config());
-    exec.execute(&plan);
+    resolve_grid(exec, &Benchmark::STAMP, &PolicyKind::FIGURE3, threads);
 
     let mut tables = Vec::new();
     let mut seer_lock_fractions = Vec::new();
@@ -140,14 +175,12 @@ pub fn table3(exec: &CellExecutor, threads: &[usize]) -> (Vec<PercentTable>, Opt
 pub fn figure4(exec: &CellExecutor, threads: &[usize]) -> Panel {
     let mut benchmarks = Benchmark::STAMP.to_vec();
     benchmarks.push(Benchmark::HashmapLow);
-    let mut plan = Plan::new();
-    plan.add_grid(
+    resolve_grid(
+        exec,
         &benchmarks,
         &[PolicyKind::Rtm, PolicyKind::SeerProfileOnly],
         threads,
-        exec.config(),
     );
-    exec.execute(&plan);
 
     let mut stamp_points = Vec::new();
     let mut hashmap_points = Vec::new();
@@ -183,9 +216,7 @@ pub fn figure4(exec: &CellExecutor, threads: &[usize]) -> Panel {
 /// each variant relative to the profile-only baseline, per benchmark and
 /// thread count, plus the geometric-mean panel.
 pub fn figure5(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
-    let mut plan = Plan::new();
-    plan.add_grid(&Benchmark::STAMP, &PolicyKind::FIGURE5, threads, exec.config());
-    exec.execute(&plan);
+    resolve_grid(exec, &Benchmark::STAMP, &PolicyKind::FIGURE5, threads);
 
     let mut panels = Vec::new();
     let variants = &PolicyKind::FIGURE5[1..]; // baseline is the divisor
@@ -237,14 +268,12 @@ pub fn figure5(exec: &CellExecutor, threads: &[usize]) -> Vec<Panel> {
 /// core-locks-only Seer relative to profile-only Seer (the paper reports
 /// +9% at 6 threads and +22% at 8).
 pub fn core_locks_only(exec: &CellExecutor, threads: &[usize]) -> Panel {
-    let mut plan = Plan::new();
-    plan.add_grid(
+    resolve_grid(
+        exec,
         &Benchmark::STAMP,
         &[PolicyKind::SeerProfileOnly, PolicyKind::SeerCoreLocksOnly],
         threads,
-        exec.config(),
     );
-    exec.execute(&plan);
 
     let mut points = Vec::new();
     for &t in threads {

@@ -1,10 +1,15 @@
 //! Executor guarantees, pinned as tests: parallel execution is
-//! bit-identical to serial, and a set of overlapping experiments sharing
-//! one executor simulates each unique `(cell, seed)` exactly once.
+//! bit-identical to serial, a set of overlapping experiments sharing
+//! one executor simulates each unique `(cell, seed)` exactly once, and
+//! a figure whose cells failed under supervision fails instead of
+//! recomputing them.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 use seer_harness::{
     figure3, figure4, table3, Cell, CellExecutor, CellResult, HarnessConfig, Plan, PolicyKind,
-    THREADS_TABLE,
+    SupervisorConfig, THREADS_TABLE,
 };
 use seer_stamp::Benchmark;
 
@@ -56,8 +61,8 @@ fn parallel_execution_equals_serial_field_for_field() {
         assert_eq!(a, b, "results diverged for {cell:?}");
         // Down to the raw per-seed trace: bit-identical schedules.
         for seed in 0..serial.config().seeds {
-            let ma = serial.metrics(cell, seed);
-            let mb = parallel.metrics(cell, seed);
+            let ma = serial.cached(cell, seed, SCALE).expect("planned above");
+            let mb = parallel.cached(cell, seed, SCALE).expect("planned above");
             assert_eq!(ma.trace_hash, mb.trace_hash, "{cell:?} seed {seed}");
             assert_eq!(ma.makespan, mb.makespan, "{cell:?} seed {seed}");
             assert_eq!(ma.commits, mb.commits, "{cell:?} seed {seed}");
@@ -116,4 +121,30 @@ fn table3_after_figure3_is_free() {
     let before = exec.misses();
     table3(&exec, &THREADS_TABLE);
     assert_eq!(exec.misses(), before, "table3 re-simulated cached cells");
+}
+
+#[test]
+fn a_figure_with_timed_out_cells_fails_instead_of_recomputing_them() {
+    let exec = CellExecutor::with_options(
+        config(2, 1),
+        None,
+        SupervisorConfig {
+            timeout: Some(Duration::from_nanos(1)),
+        },
+    );
+    let payload = catch_unwind(AssertUnwindSafe(|| figure4(&exec, &[2])))
+        .expect_err("figure4 must not assemble around timed-out cells");
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    assert!(
+        msg.contains("timed out"),
+        "panic should list the failures: {msg}"
+    );
+    assert_eq!(
+        exec.misses(),
+        0,
+        "no cell may be simulated outside the supervisor"
+    );
 }

@@ -4,8 +4,8 @@
 //! [`Executor`](seer_store::Executor) (DESIGN.md §9/§13) at scenario
 //! granularity: work items are `(scenario, policy, seed)` coordinates,
 //! deduplicated at plan-build time, memoized for the executor's lifetime,
-//! persisted to an attached [`Store`], and supervised (retries, deadline,
-//! panic isolation) exactly like harness cells. Every scenario run is an
+//! persisted to an attached [`Store`], and supervised (deadline, panic
+//! isolation) exactly like harness cells. Every scenario run is an
 //! independent deterministic simulation, so parallel and store-warmed
 //! execution are bit-identical to a serial cold run — the conformance
 //! suite's scenario fixtures pin exactly that.
@@ -89,8 +89,7 @@ pub struct ScenarioExecutor {
 
 impl ScenarioExecutor {
     /// An executor fanning uncached work out across `jobs` OS threads,
-    /// supervised per the `SEER_RETRIES`/`SEER_CELL_TIMEOUT_MS`
-    /// environment.
+    /// supervised per the `SEER_CELL_TIMEOUT_MS` environment.
     pub fn new(jobs: usize) -> Self {
         Self::with_options(jobs, None, SupervisorConfig::from_env())
     }
@@ -132,20 +131,6 @@ impl ScenarioExecutor {
         self.inner.execute(plan.as_generic())
     }
 
-    /// The outcome of one work item, running it (unsupervised) on a
-    /// cache miss.
-    ///
-    /// # Panics
-    /// If the item names a scenario the library does not contain (the
-    /// CLI validates names before building plans).
-    pub fn outcome(&self, scenario: &str, policy: PolicyKind, seed: u64) -> ScenarioOutcome {
-        self.inner.get(ScenarioKey {
-            scenario: scenario.to_string(),
-            policy,
-            seed,
-        })
-    }
-
     /// The memoized outcome of one item, without computing anything: the
     /// non-panicking read used to assemble partial reports around failed
     /// items.
@@ -162,7 +147,8 @@ impl ScenarioExecutor {
         self.inner.store()
     }
 
-    /// Memo-cache reads served without touching disk or simulating.
+    /// Planned items already in the memo cache, summed over every
+    /// [`ScenarioExecutor::execute`] call.
     pub fn hits(&self) -> u64 {
         self.inner.hits()
     }
@@ -206,8 +192,12 @@ mod tests {
         let parallel = ScenarioExecutor::new(4);
         parallel.execute(&plan);
         for key in plan.items() {
-            let a = serial.outcome(&key.scenario, key.policy, key.seed);
-            let b = parallel.outcome(&key.scenario, key.policy, key.seed);
+            let a = serial
+                .cached(&key.scenario, key.policy, key.seed)
+                .expect("planned above");
+            let b = parallel
+                .cached(&key.scenario, key.policy, key.seed)
+                .expect("planned above");
             assert_eq!(a.metrics.trace_hash, b.metrics.trace_hash, "{key:?}");
             assert_eq!(a.report, b.report, "{key:?}");
         }
@@ -217,8 +207,7 @@ mod tests {
     fn unknown_scenario_degrades_into_a_failed_item() {
         let mut plan = ScenarioPlan::new();
         plan.add("no-such-scenario", PolicyKind::Rtm, 0);
-        let exec =
-            ScenarioExecutor::with_options(1, None, SupervisorConfig::fail_fast());
+        let exec = ScenarioExecutor::with_options(1, None, SupervisorConfig::default());
         let report = exec.execute(&plan);
         assert!(!report.complete());
         assert_eq!(report.failed.len(), 1);

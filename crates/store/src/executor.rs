@@ -10,11 +10,14 @@
 //!    (counted by [`Executor::hits`]),
 //! 2. **disk store** — shards from previous processes, if a [`Store`] is
 //!    attached (counted by [`Executor::disk_hits`]),
-//! 3. **supervised compute** — the run function under retry/deadline/
-//!    panic isolation (successes counted by [`Executor::misses`]),
-//! 4. **failure accounting** — items that kept failing end up in the
+//! 3. **supervised compute** — the run function, once, under deadline
+//!    and panic isolation (successes counted by [`Executor::misses`]),
+//! 4. **failure accounting** — items that failed end up in the
 //!    [`ExecReport`], so a sweep degrades into a partial report instead
-//!    of aborting.
+//!    of aborting; a later run against the same store recomputes them.
+//!
+//! `execute` is the only way a value gets computed. Assembly reads the
+//! memo through [`Executor::cached`] and never simulates.
 //!
 //! Determinism: the run function is a pure function of the key, results
 //! land in the cache keyed by their coordinates, and assembly order is
@@ -124,15 +127,13 @@ where
         .collect()
 }
 
-/// One item the supervisor gave up on.
+/// One item whose supervised run failed.
 #[derive(Debug, Clone)]
 pub struct FailedItem<K> {
     /// The work item's key.
     pub key: K,
-    /// The last failure observed.
+    /// Why its run failed.
     pub failure: RunFailure,
-    /// Attempts consumed (1 + retries).
-    pub attempts: u32,
 }
 
 /// Coverage accounting for one [`Executor::execute`] call: where every
@@ -147,7 +148,7 @@ pub struct ExecReport<K> {
     pub disk_hits: u64,
     /// Items computed locally (successfully) this call.
     pub computed: u64,
-    /// Items the supervisor gave up on — the coverage gap.
+    /// Items whose supervised run failed — the coverage gap.
     pub failed: Vec<FailedItem<K>>,
 }
 
@@ -166,7 +167,7 @@ impl<K> ExecReport<K> {
 enum Source<V> {
     Disk(V),
     Computed(V),
-    Failed(RunFailure, u32),
+    Failed(RunFailure),
 }
 
 /// The generic parallel, memoizing, disk-warmed, supervised executor.
@@ -213,8 +214,8 @@ where
         self
     }
 
-    /// Overrides the supervision config (tests want fail-fast; the CLI
-    /// wants the environment knobs).
+    /// Overrides the supervision config (tests want no deadline whatever
+    /// the environment says; the CLI wants the environment knobs).
     pub fn with_supervisor(mut self, cfg: SupervisorConfig) -> Self {
         self.supervisor = cfg;
         self
@@ -267,11 +268,7 @@ where
                     report.computed += 1;
                     cache.insert(key, v);
                 }
-                Source::Failed(failure, attempts) => report.failed.push(FailedItem {
-                    key,
-                    failure,
-                    attempts,
-                }),
+                Source::Failed(failure) => report.failed.push(FailedItem { key, failure }),
             }
         }
         report
@@ -286,7 +283,7 @@ where
         }
         let run = self.run.clone();
         let k = key.clone();
-        match supervise(&self.supervisor, move || run(k.clone())) {
+        match supervise(&self.supervisor, move || run(k)) {
             Ok(v) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 if let Some(store) = &self.store {
@@ -294,44 +291,8 @@ where
                 }
                 Source::Computed(v)
             }
-            Err((failure, attempts)) => Source::Failed(failure, attempts),
+            Err(failure) => Source::Failed(failure),
         }
-    }
-
-    /// The value for one key: memo cache, then disk, then an *inline,
-    /// unsupervised* computation (serial assembly path — batch work
-    /// belongs in a [`Plan`], and a panic here propagates like any other
-    /// programming error).
-    pub fn get(&self, key: K) -> V {
-        if let Some(v) = self
-            .cache
-            .lock()
-            .expect("executor cache poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
-        }
-        if let Some(store) = &self.store {
-            if let Some(v) = store.load::<K, V>(&key) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.cache
-                    .lock()
-                    .expect("executor cache poisoned")
-                    .insert(key, v.clone());
-                return v;
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = (self.run)(key.clone());
-        if let Some(store) = &self.store {
-            store.save(&key, &v);
-        }
-        self.cache
-            .lock()
-            .expect("executor cache poisoned")
-            .insert(key, v.clone());
-        v
     }
 
     /// The memoized value for `key`, if present (no compute, no disk).
@@ -343,7 +304,8 @@ where
             .cloned()
     }
 
-    /// Memo-cache reads served without simulating.
+    /// Planned items already in the memo cache, summed over every
+    /// [`Executor::execute`] call.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -417,8 +379,7 @@ mod tests {
     }
 
     fn squarer(jobs: usize) -> Executor<NumKey, u64> {
-        Executor::new(jobs, |k: NumKey| k.0 * k.0)
-            .with_supervisor(SupervisorConfig::fail_fast())
+        Executor::new(jobs, |k: NumKey| k.0 * k.0).with_supervisor(SupervisorConfig::default())
     }
 
     /// Every planned item is counted by exactly one of the three stages
@@ -466,8 +427,9 @@ mod tests {
         assert_eq!(report.computed, 0);
         assert_eq!(exec.misses(), 4);
         assert_eq!(exec.hits(), 4);
-        assert_eq!(exec.get(NumKey(3)), 9);
-        assert_eq!(exec.hits(), 5);
+        // Assembly reads the memo and counts nothing.
+        assert_eq!(exec.cached(&NumKey(3)), Some(9));
+        assert_eq!(exec.hits(), 4);
     }
 
     #[test]
@@ -478,7 +440,7 @@ mod tests {
             }
             k.0
         })
-        .with_supervisor(SupervisorConfig::fail_fast());
+        .with_supervisor(SupervisorConfig::default());
         let report = exec.execute(&plan(0..4));
         assert!(!report.complete());
         assert_eq!(report.computed, 3);
@@ -512,14 +474,8 @@ mod tests {
         assert_eq!(warm.misses(), 0);
         assert_eq!(warm.disk_hits(), 5);
         for n in 0..5 {
-            assert_eq!(warm.get(NumKey(n)), n * n);
+            assert_eq!(warm.cached(&NumKey(n)), Some(n * n));
         }
-
-        // get() also reaches through to disk for unplanned keys.
-        let warm2 = squarer(1).with_store(Store::open(&root));
-        assert_eq!(warm2.get(NumKey(4)), 16);
-        assert_eq!(warm2.disk_hits(), 1);
-        assert_eq!(warm2.misses(), 0);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -538,7 +494,7 @@ mod tests {
             }
             k.0 * 10
         })
-        .with_supervisor(SupervisorConfig::fail_fast())
+        .with_supervisor(SupervisorConfig::default())
         .with_store(Store::open(&root));
         let report = crashy.execute(&plan(0..4));
         assert_accounted(&report);
@@ -547,7 +503,7 @@ mod tests {
 
         // Resumed process (bug fixed): only the gap is computed.
         let resumed = Executor::new(2, |k: NumKey| k.0 * 10)
-            .with_supervisor(SupervisorConfig::fail_fast())
+            .with_supervisor(SupervisorConfig::default())
             .with_store(Store::open(&root));
         let report = resumed.execute(&plan(0..4));
         assert_accounted(&report);

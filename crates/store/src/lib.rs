@@ -15,10 +15,10 @@
 //! * [`Executor`] — the one generic plan/memoize/fan-out engine behind
 //!   both the harness's `CellExecutor` and the scenario engine's
 //!   `ScenarioExecutor`, extended with disk warm-start
-//!   ([`Executor::disk_hits`]) and a [`supervisor`]: bounded retry with
-//!   exponential backoff, optional wall-clock deadline per item, and
-//!   `catch_unwind` isolation so one poisoned cell degrades into an
-//!   explicit entry of the [`ExecReport`] rather than aborting the sweep.
+//!   ([`Executor::disk_hits`]) and a [`supervisor`]: an optional
+//!   wall-clock deadline per item and `catch_unwind` isolation, so one
+//!   poisoned cell degrades into an explicit entry of the [`ExecReport`]
+//!   rather than aborting the sweep.
 //!
 //! Determinism is non-negotiable: a disk-warmed or resumed run must be
 //! byte-identical to a cold one. The shard format therefore stores every

@@ -119,23 +119,21 @@ impl TuneExecutor {
 
 fn describe_cell_failure(f: &FailedItem<CellKey>) -> String {
     format!(
-        "{}/{}/t{}/s{}: {} (after {} attempt(s))",
+        "{}/{}/t{}/s{}: {}",
         f.key.cell().benchmark.name(),
         f.key.cell().policy.spec(),
         f.key.cell().threads,
         f.key.seed,
-        f.failure,
-        f.attempts
+        f.failure
     )
 }
 
 fn describe_scenario_failure(f: &FailedItem<ScenarioKey>) -> String {
     format!(
-        "{}/{}/s{}: {} (after {} attempt(s))",
+        "{}/{}/s{}: {}",
         f.key.scenario,
         f.key.policy.spec(),
         f.key.seed,
-        f.failure,
-        f.attempts
+        f.failure
     )
 }
