@@ -9,6 +9,10 @@
 //!   detection (requester-wins), a sets×ways write-capacity model and a
 //!   flat read budget, both shared (divided) between SMT siblings that are
 //!   simultaneously transactional.
+//! * [`line::LineDirectory`] — the machine-wide map from each tracked
+//!   cache line to the CPUs reading and writing it, so an access checks
+//!   for conflicts with one probe however many CPUs run transactions, and
+//!   ending a transaction costs its footprint.
 //! * [`status::XStatus`] — the TSX status word: `_XBEGIN_STARTED` or a
 //!   coarse abort mask (conflict / capacity / explicit / retry / none). The
 //!   machine never reveals *which* transaction caused an abort; the
@@ -29,7 +33,7 @@ pub mod machine;
 pub mod status;
 
 pub use config::{ConflictResolution, CostModel, HtmConfig};
-pub use line::{LineAddr, LineSet};
+pub use line::{LineAddr, LineDirectory};
 pub use machine::{AbortCause, AccessKind, AccessResult, HtmMachine};
 pub use status::{xabort_codes, XStatus};
 

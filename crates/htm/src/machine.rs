@@ -24,11 +24,23 @@
 //! a scheduler *who* caused an abort — that information is returned to the
 //! driver for ground-truth metrics only, mirroring the real TSX information
 //! gap.
+//!
+//! # Cost of one access
+//!
+//! Conflict detection goes through one machine-wide [`LineDirectory`]
+//! mapping each tracked line to bitmasks of the CPUs that read and write
+//! it, so an access makes one probe whatever the CPU count (a second only
+//! after it killed someone, since a kill edits the directory). Each slot
+//! keeps plain read and write lists alongside, which a reset walks to
+//! clear its bits: the cost of ending a transaction grows with its
+//! footprint. SMT co-residency is a per-core counter of active slots.
+//! Victims are reported in ascending thread order, the order of a scan
+//! over the slots.
 
-use seer_sim::{ThreadId, Topology};
+use seer_sim::{CoreId, ThreadId, Topology};
 
 use crate::config::{ConflictResolution, HtmConfig};
-use crate::line::{LineAddr, LineSet};
+use crate::line::{holder_bit as bit, LineAddr, LineDirectory};
 
 /// Kind of a memory access within (or outside) a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,8 +76,11 @@ pub struct AccessResult {
 #[derive(Debug, Clone)]
 struct TxSlot {
     active: bool,
-    read_set: LineSet,
-    write_set: LineSet,
+    /// Distinct lines read, in first-access order (mirrored as this slot's
+    /// reader bits in the directory).
+    reads: Vec<LineAddr>,
+    /// Distinct lines written, likewise.
+    writes: Vec<LineAddr>,
     /// Occupancy of each write-set cache set.
     set_occupancy: Vec<u8>,
     /// Cache sets touched by the current transaction (for O(touched) clear).
@@ -79,23 +94,12 @@ impl TxSlot {
     fn new(write_sets: usize) -> Self {
         Self {
             active: false,
-            read_set: LineSet::with_capacity(256),
-            write_set: LineSet::with_capacity(64),
+            reads: Vec::with_capacity(256),
+            writes: Vec::with_capacity(64),
             set_occupancy: vec![0; write_sets],
             touched_sets: Vec::with_capacity(64),
             max_occupancy: 0,
         }
-    }
-
-    fn reset(&mut self) {
-        self.active = false;
-        self.read_set.clear();
-        self.write_set.clear();
-        for &s in &self.touched_sets {
-            self.set_occupancy[s as usize] = 0;
-        }
-        self.touched_sets.clear();
-        self.max_occupancy = 0;
     }
 }
 
@@ -120,6 +124,12 @@ pub struct HtmMachine {
     topo: Topology,
     cfg: HtmConfig,
     slots: Vec<TxSlot>,
+    /// Who holds each line tracked by an in-flight transaction.
+    directory: LineDirectory,
+    /// Physical core of each logical CPU.
+    core_of: Vec<CoreId>,
+    /// Active transactions per physical core.
+    core_active: Vec<usize>,
     /// Scenario capacity-pressure override: `(ways, read_lines)` clamps
     /// applied on top of the configured geometry (`None` on each axis =
     /// the configured budget). Set by [`HtmMachine::set_capacity_override`].
@@ -128,14 +138,23 @@ pub struct HtmMachine {
 
 impl HtmMachine {
     /// A machine over `topo` logical CPUs with buffer geometry `cfg`.
+    ///
+    /// # Panics
+    /// If `topo` has more than 64 logical CPUs (the directory's masks are
+    /// one `u64`).
     pub fn new(topo: Topology, cfg: HtmConfig) -> Self {
-        let slots = (0..topo.logical_cpus())
-            .map(|_| TxSlot::new(cfg.write_sets))
-            .collect();
+        let cpus = topo.logical_cpus();
+        assert!(
+            cpus <= 64,
+            "{cpus} logical CPUs; the HTM model supports at most 64"
+        );
         Self {
             topo,
             cfg,
-            slots,
+            slots: (0..cpus).map(|_| TxSlot::new(cfg.write_sets)).collect(),
+            directory: LineDirectory::with_capacity(64 * cpus),
+            core_of: (0..cpus).map(|t| topo.core_of(t)).collect(),
+            core_active: vec![0; topo.physical_cores()],
             capacity_override: (None, None),
         }
     }
@@ -193,10 +212,7 @@ impl HtmMachine {
     /// Number of in-flight transactions on the physical core of `thread`,
     /// including `thread`'s own if active.
     pub fn co_resident_txs(&self, thread: ThreadId) -> usize {
-        self.topo
-            .siblings(thread)
-            .filter(|&s| self.slots[s].active)
-            .count()
+        self.core_active[self.core_of[thread]]
     }
 
     /// Starts a transaction on `thread`.
@@ -230,6 +246,7 @@ impl HtmMachine {
         );
         squeezed.clear();
         self.slots[thread].active = true;
+        self.core_active[self.core_of[thread]] += 1;
         if self.cfg.smt_capacity_sharing {
             let co = self.co_resident_txs(thread);
             let ways = self.clamped_ways(co);
@@ -242,14 +259,15 @@ impl HtmMachine {
                     continue;
                 }
                 if usize::from(self.slots[s].max_occupancy) > ways {
-                    self.slots[s].reset();
+                    self.reset(s);
                     squeezed.push((s, AbortCause::WriteCapacity));
-                } else if self.slots[s].read_set.len() > reads {
-                    self.slots[s].reset();
+                } else if self.slots[s].reads.len() > reads {
+                    self.reset(s);
                     squeezed.push((s, AbortCause::ReadCapacity));
                 }
             }
         }
+        self.audit();
     }
 
     /// Feeds a transactional access by `thread` to `line`.
@@ -261,7 +279,10 @@ impl HtmMachine {
     pub fn access(&mut self, thread: ThreadId, line: LineAddr, kind: AccessKind) -> AccessResult {
         let mut victims = Vec::new();
         let self_abort = self.access_into(thread, line, kind, &mut victims);
-        AccessResult { self_abort, victims }
+        AccessResult {
+            self_abort,
+            victims,
+        }
     }
 
     /// [`HtmMachine::access`] writing conflict victims into `victims`
@@ -271,6 +292,18 @@ impl HtmMachine {
     /// # Panics
     /// If `thread` has no transaction in flight.
     pub fn access_into(
+        &mut self,
+        thread: ThreadId,
+        line: LineAddr,
+        kind: AccessKind,
+        victims: &mut Vec<ThreadId>,
+    ) -> Option<AbortCause> {
+        let outcome = self.access_inner(thread, line, kind, victims);
+        self.audit();
+        outcome
+    }
+
+    fn access_inner(
         &mut self,
         thread: ThreadId,
         line: LineAddr,
@@ -287,43 +320,50 @@ impl HtmMachine {
         //    invalidates (write) or downgrades (read) the line in every
         //    other in-flight transaction; under requester-aborts, hitting
         //    a line another transaction owns kills *this* transaction.
-        match self.cfg.conflict_resolution {
-            ConflictResolution::RequesterWins => {
-                self.kill_conflicting(thread, line, kind, victims);
-            }
-            ConflictResolution::RequesterAborts => {
-                if self.someone_else_owns(thread, line, kind) {
-                    self.slots[thread].reset();
+        let mut idx = self.directory.find(line);
+        let others = conflicting(self.directory.holders_at(idx), kind) & !bit(thread);
+        if others != 0 {
+            match self.cfg.conflict_resolution {
+                ConflictResolution::RequesterWins => {
+                    self.kill(others, victims);
+                    idx = self.directory.find(line);
+                }
+                ConflictResolution::RequesterAborts => {
+                    self.reset(thread);
                     return Some(AbortCause::Conflict);
                 }
             }
         }
 
-        // 2. Capacity pass: extend our own tracked sets. The budgets are
-        //    computed before the slot borrow so the scenario clamp applies
-        //    here exactly as in `begin`.
+        // 2. Capacity pass: extend our own tracked sets. Only a line new
+        //    to them consumes capacity, so the budget (with the scenario
+        //    clamp, exactly as in `begin`) is computed only then.
+        if !self.directory.insert_at(idx, line, bit(thread), kind) {
+            return None;
+        }
         let co = self.co_resident_txs(thread);
-        let ways_budget = self.clamped_ways(co);
-        let read_budget = self.clamped_read_lines(co);
-        let slot = &mut self.slots[thread];
         match kind {
             AccessKind::Write => {
-                if slot.write_set.insert(line) {
-                    let set_idx = (line % self.cfg.write_sets as u64) as usize;
-                    if slot.set_occupancy[set_idx] == 0 {
-                        slot.touched_sets.push(set_idx as u32);
-                    }
-                    slot.set_occupancy[set_idx] += 1;
-                    slot.max_occupancy = slot.max_occupancy.max(slot.set_occupancy[set_idx]);
-                    if usize::from(slot.set_occupancy[set_idx]) > ways_budget {
-                        slot.reset();
-                        return Some(AbortCause::WriteCapacity);
-                    }
+                let ways_budget = self.clamped_ways(co);
+                let slot = &mut self.slots[thread];
+                slot.writes.push(line);
+                let set_idx = (line % self.cfg.write_sets as u64) as usize;
+                if slot.set_occupancy[set_idx] == 0 {
+                    slot.touched_sets.push(set_idx as u32);
+                }
+                slot.set_occupancy[set_idx] += 1;
+                slot.max_occupancy = slot.max_occupancy.max(slot.set_occupancy[set_idx]);
+                if usize::from(slot.set_occupancy[set_idx]) > ways_budget {
+                    self.reset(thread);
+                    return Some(AbortCause::WriteCapacity);
                 }
             }
             AccessKind::Read => {
-                if slot.read_set.insert(line) && slot.read_set.len() > read_budget {
-                    slot.reset();
+                let read_budget = self.clamped_read_lines(co);
+                let slot = &mut self.slots[thread];
+                slot.reads.push(line);
+                if slot.reads.len() > read_budget {
+                    self.reset(thread);
                     return Some(AbortCause::ReadCapacity);
                 }
             }
@@ -357,7 +397,9 @@ impl HtmMachine {
         victims: &mut Vec<ThreadId>,
     ) {
         victims.clear();
-        self.kill_conflicting(thread, line, kind, victims);
+        let others = conflicting(self.directory.holders(line), kind) & !bit(thread);
+        self.kill(others, victims);
+        self.audit();
     }
 
     /// Commits the transaction on `thread` (`xend`), clearing its tracking.
@@ -370,15 +412,17 @@ impl HtmMachine {
             self.slots[thread].active,
             "thread {thread} xend outside a transaction"
         );
-        self.slots[thread].reset();
+        self.reset(thread);
+        self.audit();
     }
 
     /// Force-aborts the transaction on `thread` (asynchronous event or
     /// explicit `xabort`). No-op if none is in flight.
     pub fn abort(&mut self, thread: ThreadId) {
         if self.slots[thread].active {
-            self.slots[thread].reset();
+            self.reset(thread);
         }
+        self.audit();
     }
 
     /// Aborts every in-flight transaction and returns them — used when the
@@ -396,62 +440,122 @@ impl HtmMachine {
     /// `killed` (cleared first) instead of allocating.
     pub fn kill_all_into(&mut self, killed: &mut Vec<ThreadId>) {
         killed.clear();
-        for (t, slot) in self.slots.iter_mut().enumerate() {
-            if slot.active {
-                slot.reset();
-                killed.push(t);
-            }
-        }
+        let active = (0..self.slots.len())
+            .filter(|&t| self.slots[t].active)
+            .fold(0, |mask, t| mask | bit(t));
+        self.kill(active, killed);
+        self.audit();
     }
 
     /// Current read-set size of `thread`'s transaction.
     pub fn read_set_len(&self, thread: ThreadId) -> usize {
-        self.slots[thread].read_set.len()
+        self.slots[thread].reads.len()
     }
 
     /// Current write-set size of `thread`'s transaction.
     pub fn write_set_len(&self, thread: ThreadId) -> usize {
-        self.slots[thread].write_set.len()
+        self.slots[thread].writes.len()
     }
 
-    /// True when any other in-flight transaction holds `line` in a way
-    /// that conflicts with an access of `kind`.
-    fn someone_else_owns(&self, thread: ThreadId, line: LineAddr, kind: AccessKind) -> bool {
-        (0..self.slots.len()).any(|t| {
-            t != thread
-                && self.slots[t].active
-                && match kind {
-                    AccessKind::Write => {
-                        self.slots[t].write_set.contains(line)
-                            || self.slots[t].read_set.contains(line)
-                    }
-                    AccessKind::Read => self.slots[t].write_set.contains(line),
-                }
-        })
+    /// Resets every thread in `mask`, appending each to `victims` in
+    /// ascending thread order.
+    fn kill(&mut self, mut mask: u64, victims: &mut Vec<ThreadId>) {
+        while mask != 0 {
+            let t = mask.trailing_zeros() as ThreadId;
+            mask &= mask - 1;
+            self.reset(t);
+            victims.push(t);
+        }
     }
 
-    fn kill_conflicting(
-        &mut self,
-        thread: ThreadId,
-        line: LineAddr,
-        kind: AccessKind,
-        victims: &mut Vec<ThreadId>,
-    ) {
-        for t in 0..self.slots.len() {
-            if t == thread || !self.slots[t].active {
+    /// Ends `thread`'s transaction: drops its directory bits line by line
+    /// and clears its slot.
+    fn reset(&mut self, thread: ThreadId) {
+        let slot = &mut self.slots[thread];
+        for &line in &slot.reads {
+            self.directory.remove(line, thread, AccessKind::Read);
+        }
+        for &line in &slot.writes {
+            self.directory.remove(line, thread, AccessKind::Write);
+        }
+        slot.reads.clear();
+        slot.writes.clear();
+        for &s in &slot.touched_sets {
+            slot.set_occupancy[s as usize] = 0;
+        }
+        slot.touched_sets.clear();
+        slot.max_occupancy = 0;
+        if slot.active {
+            slot.active = false;
+            self.core_active[self.core_of[thread]] -= 1;
+        }
+    }
+
+    /// Checks that the directory holds exactly the union of the active
+    /// slots' line lists and that the per-core counters count the active
+    /// slots (`check-invariants` builds only).
+    ///
+    /// Every listed line must be reachable with its slot's bit set. Each
+    /// entry a list reaches is then counted once, at its lowest holder's
+    /// first listing: if those entries are all the directory has and hold
+    /// no more bits than the lists have items, nothing else is tracked.
+    /// O(footprint) probes per call, no table scan.
+    #[cfg(feature = "check-invariants")]
+    fn audit(&self) {
+        let mut per_core = vec![0; self.core_active.len()];
+        let (mut listed, mut entries, mut bits) = (0, 0, 0);
+        for (t, slot) in self.slots.iter().enumerate() {
+            if !slot.active {
+                assert!(
+                    slot.reads.is_empty() && slot.writes.is_empty(),
+                    "idle slot {t} tracks lines"
+                );
                 continue;
             }
-            let hit = match kind {
-                AccessKind::Write => {
-                    self.slots[t].write_set.contains(line) || self.slots[t].read_set.contains(line)
+            per_core[self.core_of[t]] += 1;
+            listed += slot.reads.len() + slot.writes.len();
+            let items = slot.reads.iter().map(|&l| (l, AccessKind::Read));
+            for (line, kind) in items.chain(slot.writes.iter().map(|&l| (l, AccessKind::Write))) {
+                let (readers, writers) = self.directory.holders(line);
+                let mask = match kind {
+                    AccessKind::Read => readers,
+                    AccessKind::Write => writers,
+                };
+                assert!(
+                    mask & bit(t) != 0,
+                    "{kind:?} of line {line} by {t} not in the directory"
+                );
+                let lowest = (readers | writers).trailing_zeros() as usize;
+                if t == lowest && (kind == AccessKind::Read || readers & bit(t) == 0) {
+                    entries += 1;
+                    bits += (readers.count_ones() + writers.count_ones()) as usize;
                 }
-                AccessKind::Read => self.slots[t].write_set.contains(line),
-            };
-            if hit {
-                self.slots[t].reset();
-                victims.push(t);
             }
         }
+        assert_eq!(
+            per_core, self.core_active,
+            "per-core active counters drifted"
+        );
+        assert_eq!(
+            entries,
+            self.directory.len(),
+            "directory tracks lines no slot lists"
+        );
+        assert_eq!(bits, listed, "directory holds bits no slot lists");
+    }
+
+    #[cfg(not(feature = "check-invariants"))]
+    #[inline(always)]
+    fn audit(&self) {}
+}
+
+/// The holders an access of `kind` conflicts with: everyone for a write,
+/// writers for a read.
+#[inline]
+fn conflicting((readers, writers): (u64, u64), kind: AccessKind) -> u64 {
+    match kind {
+        AccessKind::Write => readers | writers,
+        AccessKind::Read => writers,
     }
 }
 

@@ -232,10 +232,44 @@ impl CdfSampler {
 
     /// Maps a uniform draw `u in [0, 1)` to an index by guide-table search.
     pub fn sample(&self, u: f64) -> usize {
+        self.walk(self.start(u), u)
+    }
+
+    /// [`CdfSampler::sample`] over a batch: `out[i] = sample(us[i])`.
+    ///
+    /// Each draw's cost is two dependent cache misses on a large table,
+    /// the guide entry and then the CDF entry it names. The batch issues
+    /// every guide load first, then touches every CDF entry the guides
+    /// name, then runs the walks, so the misses of one phase overlap each
+    /// other instead of serialising draw by draw.
+    ///
+    /// # Panics
+    /// If `us` and `out` differ in length.
+    pub fn sample_batch(&self, us: &[f64], out: &mut [usize]) {
+        assert_eq!(us.len(), out.len(), "one output slot per draw");
+        for (i, &u) in out.iter_mut().zip(us) {
+            *i = self.start(u);
+        }
+        let touched = out.iter().fold(0, |acc, &i| acc ^ self.cdf[i].to_bits());
+        std::hint::black_box(touched);
+        for (i, &u) in out.iter_mut().zip(us) {
+            *i = self.walk(*i, u);
+        }
+    }
+
+    /// The guide-table entry for `u`: where its walk starts.
+    #[inline]
+    fn start(&self, u: f64) -> usize {
+        let n = self.cdf.len();
+        self.guide[((u * n as f64) as usize).min(n - 1)] as usize
+    }
+
+    /// Walks from `i` to the smallest index whose CDF entry covers `u`
+    /// (clamped to the last index); exact for any start.
+    #[inline]
+    fn walk(&self, mut i: usize, u: f64) -> usize {
         let cdf = &self.cdf;
         let n = cdf.len();
-        let k = ((u * n as f64) as usize).min(n - 1);
-        let mut i = self.guide[k] as usize;
         while i > 0 && cdf[i - 1] >= u {
             i -= 1;
         }
@@ -334,6 +368,16 @@ impl ZipfTable {
     pub fn sample(&self, u: f64) -> usize {
         debug_assert!((0.0..=1.0).contains(&u));
         self.sampler.sample(u)
+    }
+
+    /// [`ZipfTable::sample`] over a batch of draws (see
+    /// [`CdfSampler::sample_batch`]).
+    ///
+    /// # Panics
+    /// If `us` and `out` differ in length.
+    pub fn sample_batch(&self, us: &[f64], out: &mut [usize]) {
+        debug_assert!(us.iter().all(|u| (0.0..=1.0).contains(u)));
+        self.sampler.sample_batch(us, out);
     }
 }
 

@@ -154,8 +154,40 @@ proptest! {
         }
     }
 
-    /// The same exactness on real Zipf tables, whose entries cluster far
-    /// more unevenly across the guide buckets than small random tables.
+    /// The batched search equals per-draw `sample` and the binary search
+    /// on the same tie-heavy tables, tables ending below 1.0, every bucket
+    /// edge and CDF value, and random draws, in batches of every length
+    /// up to 40 (the edge draws are shuffled so a batch mixes regions).
+    #[test]
+    fn cdf_sampler_batch_matches_single_draws(
+        weights in prop::collection::vec(0u8..4, 1..64),
+        tail in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let cdf = cdf_of(&weights, tail);
+        let sampler = CdfSampler::new(cdf.clone());
+        let mut rng = SimRng::new(seed);
+        let mut draws = edge_draws(&cdf);
+        for i in (1..draws.len()).rev() {
+            draws.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        draws.extend((0..200).map(|_| rng.unit()));
+        let mut rest = &draws[..];
+        while !rest.is_empty() {
+            let (batch, tail) = rest.split_at((rng.below(40) as usize + 1).min(rest.len()));
+            let mut out = vec![usize::MAX; batch.len()];
+            sampler.sample_batch(batch, &mut out);
+            for (&u, &i) in batch.iter().zip(&out) {
+                prop_assert_eq!(i, sampler.sample(u), "u = {}", u);
+                prop_assert_eq!(i, partition_oracle(&cdf, u), "u = {}", u);
+            }
+            rest = tail;
+        }
+    }
+
+    /// The same exactness, single and batched, on real Zipf tables, whose
+    /// entries cluster far more unevenly across the guide buckets than
+    /// small random tables.
     #[test]
     fn zipf_guide_matches_partition_point(n in 1usize..2_000, theta in 0.0f64..2.5) {
         let table = ZipfTable::new(n, theta);
@@ -168,8 +200,12 @@ proptest! {
             .collect();
         cdf.iter_mut().for_each(|c| *c /= acc);
         *cdf.last_mut().unwrap() = 1.0;
-        for u in edge_draws(&cdf) {
+        let draws = edge_draws(&cdf);
+        let mut batched = vec![0; draws.len()];
+        table.sample_batch(&draws, &mut batched);
+        for (&u, &i) in draws.iter().zip(&batched) {
             prop_assert_eq!(table.sample(u), partition_oracle(&cdf, u), "u = {}", u);
+            prop_assert_eq!(i, partition_oracle(&cdf, u), "batched u = {}", u);
         }
     }
 

@@ -80,6 +80,13 @@ pub struct StampModel {
     zipf: Vec<Vec<Arc<ZipfTable>>>,
     remaining: Vec<usize>,
     private_cursor: Vec<u64>,
+    /// Scratch for one region's batch of Zipf draws: the uniforms, then
+    /// the line indices they map to. Empty until the first trace, then
+    /// sized once for the largest region batch.
+    uniforms: Vec<f64>,
+    indices: Vec<usize>,
+    /// Largest `reads.1 + writes.1` over every block's regions.
+    max_batch: usize,
 }
 
 /// Address-space stride between shared regions (each region id owns one
@@ -114,6 +121,12 @@ impl StampModel {
                     .collect()
             })
             .collect();
+        let max_batch = blocks
+            .iter()
+            .flat_map(|b| &b.regions)
+            .map(|r| (r.reads.1 + r.writes.1) as usize)
+            .max()
+            .unwrap_or(0);
         Self {
             name: name.into(),
             blocks,
@@ -121,6 +134,9 @@ impl StampModel {
             zipf,
             remaining: vec![txs_per_thread; threads],
             private_cursor: (0..threads as u64).map(|t| t * PRIVATE_STRIDE).collect(),
+            uniforms: Vec::new(),
+            indices: Vec::new(),
+            max_batch,
         }
     }
 
@@ -157,15 +173,23 @@ impl StampModel {
         let accesses = &mut req.accesses;
         accesses.clear();
         let mut pick = |line, kind| accesses.push(Access { line, kind, offset: 0 });
+        let (uniforms, indices) = (&mut self.uniforms, &mut self.indices);
+        uniforms.reserve(self.max_batch);
+        indices.reserve(self.max_batch);
         for (r, zipf) in spec.regions.iter().zip(&self.zipf[block]) {
             let base = r.region * REGION_STRIDE;
-            let n_reads = Self::draw(rng, r.reads);
-            let n_writes = Self::draw(rng, r.writes);
-            for _ in 0..n_reads {
-                pick(base + rng.zipf(zipf) as u64, AccessKind::Read);
-            }
-            for _ in 0..n_writes {
-                pick(base + rng.zipf(zipf) as u64, AccessKind::Write);
+            let n_reads = Self::draw(rng, r.reads) as usize;
+            let n_writes = Self::draw(rng, r.writes) as usize;
+            // The region's draws in stream order (reads, then writes),
+            // mapped to lines in one batch.
+            uniforms.clear();
+            uniforms.extend((0..n_reads + n_writes).map(|_| rng.unit()));
+            indices.clear();
+            indices.resize(uniforms.len(), 0);
+            zipf.sample_batch(uniforms, indices);
+            for (i, &line) in indices.iter().enumerate() {
+                let kind = if i < n_reads { AccessKind::Read } else { AccessKind::Write };
+                pick(base + line as u64, kind);
             }
         }
         let pr = Self::draw(rng, spec.private_reads);
